@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,13 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigError(f"--config {cfg_path}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"--config {cfg_path}: expected a JSON object, "
+                              f"got {type(file_cfg).__name__}")
         merged.update({k: file_cfg[k] for k in keys if k in file_cfg})
     for k in keys:
         v = getattr(args, k, None)
@@ -78,21 +85,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 
-_MODEL_KEYS = ["seed", "patch", "dim", "heads", "blocks", "epochs", "lr",
-               "n_per_class"]
+# flag / config-file key -> ModelConfig field; ModelConfig holds the defaults
+_MODEL_FIELDS = {"seed": "seed", "patch": "patch_size", "dim": "embed_dim",
+                 "heads": "n_heads", "blocks": "n_blocks", "epochs": "epochs",
+                 "lr": "lr", "n_per_class": "n_per_class"}
 
 
 def _model_config(opts: dict) -> ModelConfig:
-    return ModelConfig(
-        patch_size=opts.get("patch", 8),
-        embed_dim=opts.get("dim", 32),
-        n_heads=opts.get("heads", 4),
-        n_blocks=opts.get("blocks", 2),
-        lr=opts.get("lr", 1e-3),
-        epochs=opts.get("epochs", 30),
-        batch_size=opts.get("batch_size", 64),
-        seed=opts.get("seed", 0),
-        n_per_class=opts.get("n_per_class", 1000))
+    return ModelConfig(**{_MODEL_FIELDS[k]: v for k, v in opts.items()})
 
 
 def _load_pair(args):
@@ -131,7 +131,7 @@ def _threshold_fallback(di: np.ndarray, labels) -> ChangeMap:
 
 def cmd_run(args) -> int:
     i1, i2, gt = _load_pair(args)
-    opts = _merge_config(args, _MODEL_KEYS)
+    opts = _merge_config(args, list(_MODEL_FIELDS))
     cfg = _model_config(opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,15 +164,18 @@ def cmd_run(args) -> int:
 # sweep-blocks
 
 def cmd_sweep_blocks(args) -> int:
+    if not 0 <= args.blocks_from <= args.blocks_to <= 8:
+        raise ConfigError("need 0 <= --blocks-from <= --blocks-to <= 8, got "
+                          f"{args.blocks_from}..{args.blocks_to}")
     i1, i2, gt = _load_pair(args)
     if gt is None:
         raise InputError("sweep-blocks requires --gt to score each run")
-    opts = _merge_config(args, _MODEL_KEYS)
+    opts = _merge_config(args, list(_MODEL_FIELDS))
+    base = _model_config({**opts, "blocks": 1})  # checked before any training
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    seed = opts.get("seed", 0)
-    di, labels = _preclassify(i1, i2, seed)
+    di, labels = _preclassify(i1, i2, base.seed)
     if labels.degenerate:
         print("degenerate pre-classification: constant difference image",
               file=sys.stderr)
@@ -184,7 +187,7 @@ def cmd_sweep_blocks(args) -> int:
         if n == 0:
             change = _threshold_fallback(di, labels)
         else:
-            cfg = _model_config({**opts, "blocks": n})
+            cfg = replace(base, n_blocks=n)
             params, _ = train(i1, i2, labels, cfg)
             change = predict_map(i1, i2, labels, params, cfg)
         report = evalio.evaluate(change.values, gt)

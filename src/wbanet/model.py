@@ -6,22 +6,23 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
 from .bam import BamParams, bam_forward, init_bam_params
 from .errors import ConfigError, FormatError
-from .preclass import Label, LabelMap, PatchBatch, sample_patches
+from .preclass import Label, LabelMap, PatchBatch, patch_windows, sample_patches
 from .tensor import Adam, Tensor, no_grad
 from .wsm import WsmParams, init_wsm_params, wave_attention
 
-# Paper presets: best block count per evaluated dataset.
-BLOCK_PRESETS = {"chao_lake": 5, "sulzberger": 2, "yellow_river": 4}
-
 PROVENANCE_PSEUDO = 0
 PROVENANCE_NETWORK = 1
+
+# INTERMEDIATE pixels gathered and forwarded at once by predict_map; bounds
+# the patches held in memory.
+PREDICT_CHUNK = 256
 
 
 @dataclass
@@ -37,6 +38,11 @@ class ModelConfig:
     n_per_class: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kinds = (int, float) if f.type == "float" else int
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
         if self.patch_size % 2:
             raise ConfigError(f"patch_size must be even, got {self.patch_size}")
         if self.embed_dim % 4:
@@ -172,30 +178,20 @@ class ChangeMap:
 
 
 def predict_map(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
-                params: ModelParams, cfg: ModelConfig,
-                infer_batch: int = 256) -> ChangeMap:
+                params: ModelParams, cfg: ModelConfig) -> ChangeMap:
     """Confident pseudo-labels pass through; only intermediate pixels are
-    resolved by the network, in batches."""
-    i1 = np.asarray(i1, dtype=np.float64)
-    i2 = np.asarray(i2, dtype=np.float64)
+    resolved by the network, PREDICT_CHUNK at a time."""
     values = (labels.labels == int(Label.CHANGED)).astype(np.uint8)
     provenance = np.full(values.shape, PROVENANCE_PSEUDO, dtype=np.int8)
 
     rows, cols = np.nonzero(labels.mask(Label.INTERMEDIATE))
     if rows.size:
-        p = cfg.patch_size
-        half = p // 2
-        pad1 = np.pad(i1, half, mode="reflect")
-        pad2 = np.pad(i2, half, mode="reflect")
+        windows = patch_windows(i1, i2, cfg.patch_size)
         with no_grad():
-            for start in range(0, rows.size, infer_batch):
-                r = rows[start:start + infer_batch]
-                c = cols[start:start + infer_batch]
-                patches = np.empty((r.size, p, p, 2))
-                for j in range(r.size):
-                    patches[j, :, :, 0] = pad1[r[j]:r[j] + p, c[j]:c[j] + p]
-                    patches[j, :, :, 1] = pad2[r[j]:r[j] + p, c[j]:c[j] + p]
-                logits = forward(patches, params)
+            for start in range(0, rows.size, PREDICT_CHUNK):
+                r = rows[start:start + PREDICT_CHUNK]
+                c = cols[start:start + PREDICT_CHUNK]
+                logits = forward(windows[r, c], params)
                 values[r, c] = logits.data.argmax(axis=1).astype(np.uint8)
         provenance[rows, cols] = PROVENANCE_NETWORK
     return ChangeMap(values, provenance)
@@ -246,28 +242,35 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     (cfg_len,) = struct.unpack("<I", take(4))
-    cfg = ModelConfig(**json.loads(take(cfg_len).decode("utf-8")))
+    cfg_offset = pos
+    blob = take(cfg_len)
+    try:
+        cfg_dict = json.loads(blob.decode("utf-8"))
+        keys = ModelConfig().to_dict().keys()
+        if not isinstance(cfg_dict, dict) or cfg_dict.keys() != keys:
+            raise ConfigError(f"config must hold exactly the keys {sorted(keys)}")
+        cfg = ModelConfig(**cfg_dict)
+    except ValueError as exc:  # bad UTF-8 or JSON, or a ConfigError
+        raise FormatError(f"bad checkpoint config: {exc}", offset=cfg_offset) from None
     (count,) = struct.unpack("<I", take(4))
-    tensors: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode("utf-8")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n_vals = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(take(8 * n_vals), dtype="<f8").reshape(shape)
-        tensors[name] = Tensor(data.copy(), requires_grad=True)
+        arrays[name] = np.frombuffer(take(8 * n_vals), dtype="<f8").reshape(shape)
 
-    blocks = []
-    for i in range(cfg.n_blocks):
-        pre = f"blocks.{i}"
-        blocks.append(WbaBlockParams(
-            wsm=WsmParams(tensors[f"{pre}.wsm.w_d"], tensors[f"{pre}.wsm.w_q"],
-                          tensors[f"{pre}.wsm.kv_conv"], tensors[f"{pre}.wsm.w_o"],
-                          n_heads=cfg.n_heads),
-            bam=BamParams(tensors[f"{pre}.bam.fc_c1"], tensors[f"{pre}.bam.fc_c2"],
-                          tensors[f"{pre}.bam.fc_s1"], tensors[f"{pre}.bam.fc_s2"]),
-        ))
-    params = ModelParams(tensors["w_embed"], blocks,
-                         tensors["w_head"], tensors["b_head"])
+    # The tensors must be exactly those of the model the config describes.
+    params = init_params(cfg)
+    want = {name: t.shape for name, t in params.named()}
+    got = {name: a.shape for name, a in arrays.items()}
+    if count != len(want) or got != want:
+        bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        raise FormatError(f"tensors do not fit the checkpoint config: {count} "
+                          f"stored, {len(want)} needed; missing, extra or "
+                          f"misshapen: {bad}")
+    for name, t in params.named():
+        t.data = arrays[name].astype(np.float64)
     return params, cfg

@@ -56,7 +56,7 @@ def log_ratio(i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
 
 
 def fcm(values: np.ndarray, k: int, m: float = 2.0, max_iter: int = 300,
-        tol: float = 1e-6, seed: int = 0) -> FcmResult:
+        tol: float = 1e-6) -> FcmResult:
     """Fuzzy c-means on 1-D data.
 
     Centers start at evenly spaced quantiles (deterministic); alternating
@@ -76,7 +76,6 @@ def fcm(values: np.ndarray, k: int, m: float = 2.0, max_iter: int = 300,
         u[:, 0] = 1.0
         return FcmResult(np.full(k, x[0]), u, degenerate=True)
 
-    _ = np.random.default_rng(seed)  # reserved; quantile init needs no draws
     centers = np.quantile(x, (np.arange(k) + 0.5) / k)
     expo = 1.0 / (m - 1.0)
     objective: list[float] = []
@@ -104,14 +103,17 @@ def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
                    tol: float = 1e-6, seed: int = 0) -> LabelMap:
     """Two-stage 5-then-3 fuzzy clustering into changed / unchanged /
     intermediate; label boundaries follow the ordered 1-D cluster intervals,
-    so changed DI values always dominate unchanged ones."""
+    so changed DI values always dominate unchanged ones.
+
+    Deterministic: FCM centres start at quantiles and nothing is drawn, so
+    ``seed`` does not affect the result."""
     di = np.asarray(di, dtype=np.float64)
     flat = di.ravel()
     labels = np.full(flat.size, int(Label.UNCHANGED), dtype=np.int8)
     if np.ptp(flat) == 0.0:
         return LabelMap(labels.reshape(di.shape), degenerate=True)
 
-    stage1 = fcm(flat, k=5, m=m, max_iter=max_iter, tol=tol, seed=seed)
+    stage1 = fcm(flat, k=5, m=m, max_iter=max_iter, tol=tol)
     assign1 = np.argmin(np.abs(flat[:, None] - stage1.centers[None, :]), axis=1)
     labels[assign1 == 4] = int(Label.CHANGED)
     labels[assign1 == 0] = int(Label.UNCHANGED)
@@ -119,7 +121,7 @@ def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
     middle = (assign1 >= 1) & (assign1 <= 3)
     mid_vals = flat[middle]
     if mid_vals.size > 3 and np.ptp(mid_vals) > 0.0:
-        stage2 = fcm(mid_vals, k=3, m=m, max_iter=max_iter, tol=tol, seed=seed)
+        stage2 = fcm(mid_vals, k=3, m=m, max_iter=max_iter, tol=tol)
         assign2 = np.argmin(np.abs(mid_vals[:, None] - stage2.centers[None, :]),
                             axis=1)
         sub = np.full(mid_vals.size, int(Label.INTERMEDIATE), dtype=np.int8)
@@ -131,8 +133,16 @@ def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
     return LabelMap(labels.reshape(di.shape))
 
 
-def extract_patch(padded: np.ndarray, row: int, col: int, p: int) -> np.ndarray:
-    return padded[row:row + p, col:col + p]
+def patch_windows(i1: np.ndarray, i2: np.ndarray, p: int) -> np.ndarray:
+    """Read-only (H, W, P, P, 2) view over the reflect-padded image pair:
+    ``[r, c]`` is the P x P patch with pixel (r, c) at (P/2, P/2). Indexing
+    it with coordinate arrays gathers C-ordered (n, P, P, 2) float64 patches."""
+    if p % 2:
+        raise InputError(f"patch size must be even, got {p}")
+    half = p // 2
+    pair = np.stack([i1, i2], axis=-1).astype(np.float64, copy=False)
+    padded = np.pad(pair, ((half, half), (half, half), (0, 0)), mode="reflect")
+    return np.lib.stride_tricks.sliding_window_view(padded, (p, p, 2))[:-1, :-1, 0]
 
 
 def sample_patches(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
@@ -141,15 +151,8 @@ def sample_patches(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
     """Balanced draw of changed/unchanged centers with reflect-padded
     extraction; deterministic under seed. Classes short on pixels are taken
     whole."""
-    if p % 2:
-        raise InputError(f"patch size must be even, got {p}")
-    i1 = np.asarray(i1, dtype=np.float64)
-    i2 = np.asarray(i2, dtype=np.float64)
+    windows = patch_windows(i1, i2, p)
     rng = np.random.default_rng(seed)
-    half = p // 2
-    pad1 = np.pad(i1, half, mode="reflect")
-    pad2 = np.pad(i2, half, mode="reflect")
-
     coords_list, label_list = [], []
     for lab, binval in ((Label.UNCHANGED, 0), (Label.CHANGED, 1)):
         rows, cols = np.nonzero(labels.mask(lab))
@@ -165,8 +168,4 @@ def sample_patches(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
 
     coords = np.concatenate(coords_list, axis=0)
     labs = np.concatenate(label_list, axis=0)
-    patches = np.empty((coords.shape[0], p, p, 2))
-    for i, (r, c) in enumerate(coords):
-        patches[i, :, :, 0] = extract_patch(pad1, r, c, p)
-        patches[i, :, :, 1] = extract_patch(pad2, r, c, p)
-    return PatchBatch(patches, labs, coords)
+    return PatchBatch(windows[coords[:, 0], coords[:, 1]], labs, coords)

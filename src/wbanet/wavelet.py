@@ -12,11 +12,8 @@ subbands on the channel axis in the order LL, LH, HL, HH.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import tensor as T
 from .errors import ShapeError
 from .tensor import Tensor, _node
 
@@ -69,31 +66,6 @@ def dwt2_stack(x: Tensor) -> Tensor:
 
 def idwt2_stack(s: Tensor) -> Tensor:
     return _node(idwt2_numpy(s.data), (s,), lambda g: (dwt2_numpy(g),))
-
-
-@dataclass
-class SubbandSet:
-    """The four Haar subbands of one feature map, each (H/2, W/2, C)."""
-    ll: Tensor
-    lh: Tensor
-    hl: Tensor
-    hh: Tensor
-    source_shape: tuple[int, ...]
-
-
-def dwt2_haar(x: Tensor) -> SubbandSet:
-    c = x.shape[-1]
-    stacked = dwt2_stack(x)
-    parts = [T.narrow(stacked, -1, i * c, c) for i in range(4)]
-    return SubbandSet(*parts, source_shape=x.shape)
-
-
-def idwt2_haar(s: SubbandSet) -> Tensor:
-    ref = s.ll.shape
-    for name, band in (("lh", s.lh), ("hl", s.hl), ("hh", s.hh)):
-        if band.shape != ref:
-            raise ShapeError(f"subband {name} shape {band.shape} != ll shape {ref}")
-    return idwt2_stack(T.concat([s.ll, s.lh, s.hl, s.hh], axis=-1))
 
 
 def energy(x) -> float:

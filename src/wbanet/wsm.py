@@ -64,12 +64,8 @@ def wavelet_downsample(x: Tensor, w_d: Tensor) -> Tensor:
     return dwt2_stack(T.linear(x, w_d))
 
 
-def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False,
-                   include_reconstruction: bool = True):
-    """Multi-head attention with wavelet-downsampled KV; shape-preserving.
-
-    ``include_reconstruction=False`` zeroes the IDWT path (ablation hook).
-    """
+def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False):
+    """Multi-head attention with wavelet-downsampled KV; shape-preserving."""
     h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
     _check_dims(c, p.n_heads)
     lead = x.shape[:-3]
@@ -81,11 +77,8 @@ def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False,
     kv = T.linear(T.reshape(x_hat, lead + (n_tok // 4, c)), p.kv_conv)
     k = T.narrow(kv, -1, 0, c)
     v = T.narrow(kv, -1, c, c)
-    if include_reconstruction:
-        x_r = idwt2_stack(x_hat)                            # (..., H, W, C/4)
-        x_r_tok = T.reshape(x_r, lead + (n_tok, c // 4))
-    else:
-        x_r_tok = T.zeros(lead + (n_tok, c // 4))
+    x_r = idwt2_stack(x_hat)                                # (..., H, W, C/4)
+    x_r_tok = T.reshape(x_r, lead + (n_tok, c // 4))
 
     heads = []
     attn_maps = []

@@ -109,6 +109,19 @@ class TestRun:
         assert resolved["config"]["n_blocks"] == 1
         assert resolved["config"]["epochs"] == 1
 
+    @pytest.mark.parametrize("text", ['{"epochs": 1,', "[1, 2]",
+                                      '{"blocks": "2"}'],
+                             ids=["malformed", "not-an-object", "wrong-type"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, text):
+        data = make_pair(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        rc = main(["run", "--i1", str(data / "i1.pgm"),
+                   "--i2", str(data / "i2.pgm"), "--config", str(cfg_file),
+                   "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_csv_rows_and_determinism(self, tmp_path):
@@ -129,6 +142,19 @@ class TestSweep:
         # deterministic modulo the wall-clock seconds column
         for r1, r2 in zip(*outs):
             assert r1.split(",")[:3] == r2.split(",")[:3]
+
+    def test_out_of_range_blocks_rejected_before_training(self, tmp_path,
+                                                          capsys):
+        data = make_pair(tmp_path)
+        out = tmp_path / "x"
+        rc = main(["sweep-blocks", "--i1", str(data / "i1.pgm"),
+                   "--i2", str(data / "i2.pgm"), "--gt", str(data / "gt.pgm"),
+                   "--blocks-from", "8", "--blocks-to", "9", *FAST,
+                   "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "N=" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_requires_gt(self, tmp_path):
         data = make_pair(tmp_path)

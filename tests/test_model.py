@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import max_rel_grad_err
 from wbanet import tensor as T
-from wbanet.errors import ConfigError
+from wbanet.errors import ConfigError, FormatError
 from wbanet.model import (ModelConfig, ModelParams, block_forward,
                           cross_entropy, embed, forward, init_params,
                           load_checkpoint, predict_map, save_checkpoint,
@@ -27,7 +30,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [dict(patch_size=7), dict(embed_dim=10),
                                      dict(n_heads=3), dict(n_blocks=0),
-                                     dict(n_blocks=9)])
+                                     dict(n_blocks=9), dict(n_blocks="2"),
+                                     dict(epochs=2.0), dict(lr="0.1"),
+                                     dict(seed=True)])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             ModelConfig(**{**MINI, **bad})
@@ -179,3 +184,23 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         after = forward(patches, loaded).data
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("saved, changes", [
+        (dict(n_blocks=1), dict(n_blocks=2)),       # tensors missing
+        (dict(n_blocks=2), dict(n_blocks=1)),       # tensors left over
+        (dict(), dict(dropout=0.1)),                # unknown key
+        (dict(), dict(embed_dim=16)),               # every shape wrong
+        (dict(), dict(n_heads=3)),                  # config itself invalid
+    ], ids=["more-blocks", "fewer-blocks", "unknown-key", "embed-dim", "n-heads"])
+    def test_config_not_fitting_tensors_rejected(self, tmp_path, saved, changes):
+        cfg = mini_cfg(**saved)
+        path = tmp_path / "model.wban"
+        save_checkpoint(path, init_params(cfg), cfg)
+        # rewrite the length-prefixed JSON config that follows magic + version
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        blob = json.dumps({**json.loads(raw[12:12 + n]), **changes}).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + n:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)

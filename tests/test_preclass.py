@@ -3,7 +3,7 @@ import pytest
 
 from wbanet.errors import InputError, SamplingError
 from wbanet.preclass import (Label, LabelMap, fcm, hfcm_partition, log_ratio,
-                             sample_patches)
+                             patch_windows, sample_patches)
 
 
 class TestLogRatio:
@@ -101,6 +101,26 @@ class TestHfcmPartition:
         labels = hfcm_partition(np.zeros((16, 16)))
         assert labels.degenerate
         assert np.all(labels.labels == int(Label.UNCHANGED))
+
+
+class TestPatchWindows:
+    def test_every_pixel_matches_padded_slice(self):
+        # non-square, so a swapped H/W axis or an off-by-one centre shows
+        rng = np.random.default_rng(6)
+        i1 = rng.uniform(0, 255, (10, 14))
+        i2 = rng.integers(0, 256, (10, 14), dtype=np.uint8)
+        p = 4
+        pad1 = np.pad(i1, p // 2, mode="reflect")
+        pad2 = np.pad(i2.astype(np.float64), p // 2, mode="reflect")
+        rows, cols = np.indices(i1.shape).reshape(2, -1)
+        got = patch_windows(i1, i2, p)[rows, cols]
+        assert got.shape == (140, p, p, 2)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        for k, (r, c) in enumerate(zip(rows, cols)):
+            assert np.array_equal(got[k, :, :, 0], pad1[r:r + p, c:c + p])
+            assert np.array_equal(got[k, :, :, 1], pad2[r:r + p, c:c + p])
+            assert got[k, p // 2, p // 2, 0] == i1[r, c]
+            assert got[k, p // 2, p // 2, 1] == i2[r, c]
 
 
 class TestSamplePatches:

@@ -6,24 +6,30 @@ from hypothesis import strategies as st
 from wbanet import tensor as T
 from wbanet.errors import ShapeError
 from wbanet.tensor import Tensor
-from wbanet.wavelet import (SubbandSet, dwt2_haar, dwt2_numpy, dwt2_stack,
-                            energy, idwt2_haar, idwt2_numpy, idwt2_stack)
+from wbanet.wavelet import (dwt2_numpy, dwt2_stack, energy, idwt2_numpy,
+                            idwt2_stack)
+
+
+def bands(stacked: Tensor) -> list[np.ndarray]:
+    """The LL, LH, HL, HH blocks of a stacked transform's channel axis."""
+    c = stacked.shape[-1] // 4
+    return [stacked.data[..., i * c:(i + 1) * c] for i in range(4)]
 
 
 def test_constant_image_has_no_high_frequency():
-    s = dwt2_haar(T.full((2, 2, 1), 1.0))
-    assert s.ll.data.ravel()[0] == pytest.approx(2.0, abs=1e-15)
-    for band in (s.lh, s.hl, s.hh):
-        assert np.allclose(band.data, 0.0, atol=1e-15)
+    ll, *high = bands(dwt2_stack(T.full((2, 2, 1), 1.0)))
+    assert ll.ravel()[0] == pytest.approx(2.0, abs=1e-15)
+    for band in high:
+        assert np.allclose(band, 0.0, atol=1e-15)
 
 
 def test_hand_example():
     x = T.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-    s = dwt2_haar(x)
-    assert s.ll.data.ravel()[0] == pytest.approx(5.0)
-    assert s.lh.data.ravel()[0] == pytest.approx(-2.0)
-    assert s.hl.data.ravel()[0] == pytest.approx(-1.0)
-    assert s.hh.data.ravel()[0] == pytest.approx(0.0, abs=1e-12)
+    ll, lh, hl, hh = bands(dwt2_stack(x))
+    assert ll.ravel()[0] == pytest.approx(5.0)
+    assert lh.ravel()[0] == pytest.approx(-2.0)
+    assert hl.ravel()[0] == pytest.approx(-1.0)
+    assert hh.ravel()[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_hand_example():
@@ -40,10 +46,10 @@ def test_round_trip_random():
 
 
 def test_idwt_of_trivial_subbands():
-    s = SubbandSet(T.full((1, 1, 1), 2.0), T.zeros((1, 1, 1)),
-                   T.zeros((1, 1, 1)), T.zeros((1, 1, 1)),
-                   source_shape=(2, 2, 1))
-    assert np.allclose(idwt2_haar(s).data, 1.0, atol=1e-12)
+    s = T.tensor(np.array([2.0, 0.0, 0.0, 0.0]).reshape(1, 1, 4))
+    out = idwt2_stack(s)
+    assert out.shape == (2, 2, 1)
+    assert np.allclose(out.data, 1.0, atol=1e-12)
 
 
 def test_two_sided_inverse_from_random_subbands():
@@ -54,17 +60,14 @@ def test_two_sided_inverse_from_random_subbands():
 
 def test_odd_shape_rejected():
     with pytest.raises(ShapeError):
-        dwt2_haar(T.zeros((3, 4, 1)))
+        dwt2_stack(T.zeros((3, 4, 1)))
     with pytest.raises(ShapeError):
-        dwt2_haar(T.zeros((4, 5, 1)))
+        dwt2_stack(T.zeros((4, 5, 1)))
 
 
-def test_subband_shape_mismatch_rejected():
-    s = SubbandSet(T.zeros((2, 2, 1)), T.zeros((2, 2, 1)),
-                   T.zeros((2, 3, 1)), T.zeros((2, 2, 1)),
-                   source_shape=(4, 4, 1))
+def test_idwt_channels_not_multiple_of_4_rejected():
     with pytest.raises(ShapeError):
-        idwt2_haar(s)
+        idwt2_stack(T.zeros((2, 2, 6)))
 
 
 @given(st.integers(1, 16), st.integers(1, 16), st.integers(1, 8),
@@ -92,9 +95,9 @@ def test_linearity(a, b, seed):
 def test_subbands_share_shape_and_energy_split():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(8, 6, 3)))
-    s = dwt2_haar(x)
-    assert s.ll.shape == s.lh.shape == s.hl.shape == s.hh.shape == (4, 3, 3)
-    total = sum(energy(b) for b in (s.ll, s.lh, s.hl, s.hh))
+    s = bands(dwt2_stack(x))
+    assert [b.shape for b in s] == [(4, 3, 3)] * 4
+    total = sum(energy(b) for b in s)
     assert total == pytest.approx(energy(x), abs=1e-9)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,5 +118,9 @@ def test_reconstruction_path_changes_output():
     p = init_wsm_params(8, 2, rng)
     x = Tensor(rng.normal(size=(4, 4, 8)))
     with_r = wave_attention(x, p)
-    without_r = wave_attention(x, p, include_reconstruction=False)
+    # the last C/4 rows of w_o project the IDWT path; zeroing them cuts it
+    c = x.shape[-1]
+    w_o = p.w_o.data.copy()
+    w_o[-(c // 4):] = 0.0
+    without_r = wave_attention(x, dataclasses.replace(p, w_o=Tensor(w_o)))
     assert not np.allclose(with_r.data, without_r.data)
