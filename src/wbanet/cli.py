@@ -35,11 +35,11 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     merged: dict = {}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
-        with open(cfg_path) as fh:
-            try:
+        try:
+            with open(cfg_path) as fh:
                 file_cfg = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ConfigError(f"--config {cfg_path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # unreadable path, bad JSON/UTF-8
+            raise ConfigError(f"--config {cfg_path}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"--config {cfg_path}: expected a JSON object, "
                               f"got {type(file_cfg).__name__}")
@@ -95,14 +95,21 @@ def _model_config(opts: dict) -> ModelConfig:
     return ModelConfig(**{_MODEL_FIELDS[k]: v for k, v in opts.items()})
 
 
+def _read_pgm(flag: str, path: str) -> np.ndarray:
+    try:
+        return evalio.read_pgm(path)
+    except OSError as exc:  # missing, a directory, no permission
+        raise InputError(f"{flag} {path}: {exc}") from None
+
+
 def _load_pair(args):
-    i1 = evalio.read_pgm(args.i1)
-    i2 = evalio.read_pgm(args.i2)
+    i1 = _read_pgm("--i1", args.i1)
+    i2 = _read_pgm("--i2", args.i2)
     if i1.shape != i2.shape:
         raise InputError(f"image extents differ: {i1.shape} vs {i2.shape}")
     gt = None
     if getattr(args, "gt", None):
-        gt = evalio.read_pgm(args.gt)
+        gt = _read_pgm("--gt", args.gt)
         if gt.shape != i1.shape:
             raise InputError(f"ground truth extent {gt.shape} != {i1.shape}")
         gt = (gt > 127).astype(np.uint8)
@@ -331,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, InputError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SamplingError as exc:

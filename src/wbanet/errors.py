@@ -1,4 +1,7 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the type check that config
+dataclasses run on their fields."""
+
+from dataclasses import fields
 
 
 class ShapeError(ValueError):
@@ -29,3 +32,16 @@ class FormatError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError unless each ``int`` field of the dataclass ``cfg``
+    holds an int and each ``float`` field an int or a float; a bool passes
+    neither. Fields with other annotations are not checked."""
+    for f in fields(cfg):
+        kinds = {"int": int, "float": (int, float)}.get(f.type)
+        if kinds is None:
+            continue
+        v = getattr(cfg, f.name)
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, check_field_types
 
 
 @dataclass
@@ -70,6 +70,9 @@ class SynthConfig:
     change: float = 250.0
     seed: int = 0
     change_fraction: float = 0.05                 # used when semi_axes is None
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def resolved(self) -> tuple[tuple[float, float], tuple[float, float]]:
         center = self.center if self.center is not None else ((self.h - 1) / 2.0,

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .bam import BamParams, bam_forward, init_bam_params
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_field_types
 from .preclass import Label, LabelMap, PatchBatch, patch_windows, sample_patches
 from .tensor import Adam, Tensor, no_grad
 from .wsm import WsmParams, init_wsm_params, wave_attention
@@ -38,11 +38,7 @@ class ModelConfig:
     n_per_class: int = 1000
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            kinds = (int, float) if f.type == "float" else int
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                raise ConfigError(f"{f.name} must be {f.type}, got {v!r}")
+        check_field_types(self)
         if self.patch_size % 2:
             raise ConfigError(f"patch_size must be even, got {self.patch_size}")
         if self.embed_dim % 4:

@@ -5,6 +5,11 @@ parents and a backward closure. ``Tensor.backward()`` topologically sorts the
 recorded nodes and accumulates gradients onto every tensor created with
 ``requires_grad=True``. A graph is single-use; a second ``backward()`` on the
 same loss raises.
+
+Aliasing rule: a kernel, forward or backward, may write in place only into an
+array it allocated itself. It never writes into a parent's ``.data`` (the
+caller still holds it) or into the gradient ``g`` its backward receives:
+``add``'s backward hands the same ``g``, or views of it, to both parents.
 """
 
 from __future__ import annotations
@@ -356,12 +361,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    # x*x*x, not x**3: NumPy sends a float cube through libm pow, which costs
+    # ~40x more and differs from the product by at most 1 ulp
+    x2 = x * x
+    inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
         d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
         return (g * d,)
 
@@ -371,13 +379,15 @@ def gelu(a: Tensor) -> Tensor:
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
     x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)  # the one fresh full-size buffer
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        grad = g - dot
+        grad *= out
+        return (grad,)
 
     return _node(out, (a,), backward)
 

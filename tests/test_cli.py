@@ -43,6 +43,19 @@ class TestSynth:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [{"size": "32"}, {"size": 32.0},
+                                     {"looks": "4"}, {"seed": 1.5},
+                                     {"change": None}],
+                             ids=["size-str", "size-float", "looks-str",
+                                  "seed-float", "change-null"])
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, cfg):
+        cfg_file = tmp_path / "s.json"
+        cfg_file.write_text(json.dumps(cfg))
+        rc = main(["synth", "--config", str(cfg_file), "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestRun:
     def test_full_run_writes_artifacts(self, tmp_path):
@@ -121,6 +134,21 @@ class TestRun:
                    "-o", str(tmp_path / "run")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--config"), ("run", "--config"), ("run", "--i1"),
+        ("run", "--i2"), ("run", "--gt")])
+    def test_directory_as_input_path_exits_2(self, tmp_path, capsys,
+                                             command, flag):
+        data = make_pair(tmp_path)
+        capsys.readouterr()
+        argv = {"synth": ["synth"],
+                "run": ["run", "--i1", str(data / "i1.pgm"),
+                        "--i2", str(data / "i2.pgm")]}[command]
+        argv = [*argv, flag, str(tmp_path), "-o", str(tmp_path / "out")]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path}")
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,29 @@ class TestActivations:
     def test_gelu_zero(self):
         assert T.gelu(T.tensor([0.0])).data[0] == 0.0
 
+    def test_gelu_hand_value(self):
+        assert abs(T.gelu(T.tensor([1.0])).data[0] - 0.8411919906082768) <= 1e-15
+
+    def test_gelu_matches_scalar_reference(self):
+        xs = np.concatenate([np.linspace(-30.0, 30.0, 6001), [0.0, -0.0]])
+        c = math.sqrt(2.0 / math.pi)
+        ref = np.array([0.5 * x * (1.0 + math.tanh(c * (x + 0.044715 * x ** 3)))
+                        for x in xs.tolist()])
+        out = T.gelu(T.tensor(xs)).data
+        assert np.all(np.abs(out - ref) <= 1e-12 * np.maximum(1.0, np.abs(xs)))
+
+    def test_gelu_leaves_input_and_grad_untouched(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(4, 5, 6)) * 3, requires_grad=True)
+        x0 = x.data.copy()
+        out = T.gelu(x)
+        assert np.array_equal(x.data, x0)
+        g = rng.normal(size=x.shape)
+        g0 = g.copy()
+        (gx,) = out._backward_fn(g)
+        assert np.array_equal(g, g0)
+        assert gx is not g
+
     def test_sigmoid_saturation_no_overflow(self):
         out = T.sigmoid(T.tensor([50.0, -50.0])).data
         assert abs(out[0] - 1.0) < 1e-15
@@ -159,6 +184,28 @@ class TestSoftmax:
         err = max_rel_grad_err(
             lambda: T.tsum(T.mul(T.softmax_rows(x), w)), [x], rng)
         assert err < 1e-5
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_in_place_contract(self, layout):
+        # the output is built in place in one fresh buffer; it must equal the
+        # three-temporary formula bitwise and write into neither the input
+        # nor the incoming gradient, which add's backward shares
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(8, 16, 12)) * 3
+        if layout == "transposed":
+            x = np.swapaxes(x, 0, 2)
+        a = Tensor(x, requires_grad=True)
+        x0 = a.data.copy(order="K")  # same layout, same summation order
+        out = T.softmax_rows(a)
+        e = np.exp(x0 - x0.max(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, e / e.sum(axis=-1, keepdims=True))
+        assert np.array_equal(a.data, x0)
+        g = rng.normal(size=a.shape)
+        g0 = g.copy()
+        (gx,) = out._backward_fn(g)
+        assert np.array_equal(g, g0)
+        dot = (g0 * out.data).sum(axis=-1, keepdims=True)
+        assert np.array_equal(gx, out.data * (g0 - dot))
 
 
 class TestPoolConcat:
