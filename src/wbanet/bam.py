@@ -19,10 +19,10 @@ class BamParams:
     fc_c2: Tensor   # (C/r, C) channel branch excite
     fc_s1: Tensor   # (C, C/r) spatial branch reduction
     fc_s2: Tensor   # (2C/r, 1) spatial branch head
-    r: int = 2
 
 
-def init_bam_params(c: int, rng: np.random.Generator, r: int = 2) -> BamParams:
+def init_bam_params(c: int, rng: np.random.Generator) -> BamParams:
+    r = 2  # the paper's channel reduction ratio, shared by both branches
     if c % r:
         raise ConfigError(f"embed dim {c} must be divisible by r={r}")
 
@@ -35,7 +35,6 @@ def init_bam_params(c: int, rng: np.random.Generator, r: int = 2) -> BamParams:
         fc_c2=u(c // r, (c // r, c)),
         fc_s1=u(c, (c, c // r)),
         fc_s2=u(2 * c // r, (2 * c // r, 1)),
-        r=r,
     )
 
 

@@ -64,26 +64,19 @@ class SynthConfig:
     h: int = 128
     w: int = 128
     looks: float = 4.0
-    center: tuple[float, float] | None = None     # (row, col); frame center if None
-    semi_axes: tuple[float, float] | None = None  # (row, col) radii; 5% area if None
     background: float = 1.0
     change: float = 250.0
     seed: int = 0
-    change_fraction: float = 0.05                 # used when semi_axes is None
+    change_fraction: float = 0.05                 # share of the frame that changes
 
     def __post_init__(self):
         check_field_types(self)
 
     def resolved(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        center = self.center if self.center is not None else ((self.h - 1) / 2.0,
-                                                              (self.w - 1) / 2.0)
-        if self.semi_axes is not None:
-            axes = self.semi_axes
-        else:
-            # pi*ry*rx = fraction*H*W with a mild 1.4 aspect ratio
-            ry = np.sqrt(self.change_fraction * self.h * self.w / (np.pi * 1.4))
-            axes = (ry, 1.4 * ry)
-        return center, axes
+        """(row, col) centre and radii of the change ellipse: centred in the
+        frame, with pi*ry*rx = fraction*H*W and a mild 1.4 aspect ratio."""
+        ry = np.sqrt(self.change_fraction * self.h * self.w / (np.pi * 1.4))
+        return ((self.h - 1) / 2.0, (self.w - 1) / 2.0), (ry, 1.4 * ry)
 
 
 def ellipse_mask(h: int, w: int, center, semi_axes) -> np.ndarray:
@@ -116,15 +109,14 @@ def synth_pair(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # PGM (P5) I/O
 
-def write_pgm(path, grid: np.ndarray, maxval: int = 255):
+def write_pgm(path, grid: np.ndarray):
+    """8-bit P5 with maxval 255; values are rounded and clipped to 0..255."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise InputError(f"PGM grids are 2-D, got shape {grid.shape}")
-    if not 0 < maxval <= 255:
-        raise InputError(f"maxval must be in 1..255, got {maxval}")
-    data = np.clip(np.rint(grid), 0, maxval).astype(np.uint8)
+    data = np.clip(np.rint(grid), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class ModelConfig:
                               f"n_heads {self.n_heads}")
         if not 1 <= self.n_blocks <= 8:
             raise ConfigError(f"n_blocks must be in [1, 8], got {self.n_blocks}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "patch_size", "embed_dim", "n_heads", "n_blocks", "lr",
-            "epochs", "batch_size", "seed", "n_per_class")}
 
 
 @dataclass
@@ -205,7 +200,7 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
-        blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         named = params.named()
@@ -242,7 +237,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     blob = take(cfg_len)
     try:
         cfg_dict = json.loads(blob.decode("utf-8"))
-        keys = ModelConfig().to_dict().keys()
+        keys = asdict(ModelConfig()).keys()
         if not isinstance(cfg_dict, dict) or cfg_dict.keys() != keys:
             raise ConfigError(f"config must hold exactly the keys {sorted(keys)}")
         cfg = ModelConfig(**cfg_dict)

@@ -55,13 +55,18 @@ def log_ratio(i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     return np.abs(np.log1p(i2) - np.log1p(i1))
 
 
-def fcm(values: np.ndarray, k: int, m: float = 2.0, max_iter: int = 300,
-        tol: float = 1e-6) -> FcmResult:
+# FCM fuzzifier (Bezdek's m = 2), iteration cap and centre-shift tolerance
+FCM_M = 2.0
+FCM_MAX_ITER = 300
+FCM_TOL = 1e-6
+
+
+def fcm(values: np.ndarray, k: int) -> FcmResult:
     """Fuzzy c-means on 1-D data.
 
     Centers start at evenly spaced quantiles (deterministic); alternating
     updates keep the objective non-increasing until the center shift drops
-    below ``tol``.
+    below ``FCM_TOL``.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
@@ -69,18 +74,16 @@ def fcm(values: np.ndarray, k: int, m: float = 2.0, max_iter: int = 300,
         raise InputError(f"need k >= 2 clusters, got {k}")
     if n <= k:
         raise InputError(f"need more samples ({n}) than clusters ({k})")
-    if m <= 1:
-        raise InputError(f"fuzzifier must exceed 1, got {m}")
     if np.ptp(x) == 0.0:
         u = np.zeros((n, k))
         u[:, 0] = 1.0
         return FcmResult(np.full(k, x[0]), u, degenerate=True)
 
     centers = np.quantile(x, (np.arange(k) + 0.5) / k)
-    expo = 1.0 / (m - 1.0)
+    expo = 1.0 / (FCM_M - 1.0)
     objective: list[float] = []
     u = np.empty((n, k))
-    for _it in range(max_iter):
+    for _it in range(FCM_MAX_ITER):
         d2 = (x[:, None] - centers[None, :]) ** 2
         exact = d2 < 1e-300
         inv = (1.0 / np.maximum(d2, 1e-300)) ** expo
@@ -88,19 +91,18 @@ def fcm(values: np.ndarray, k: int, m: float = 2.0, max_iter: int = 300,
         hit = exact.any(axis=1)
         if hit.any():
             u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
-        um = u ** m
+        um = u ** FCM_M
         objective.append(float((um * d2).sum()))
         new_centers = (um * x[:, None]).sum(axis=0) / um.sum(axis=0)
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        if shift < tol:
+        if shift < FCM_TOL:
             break
     order = np.argsort(centers)
     return FcmResult(centers[order], u[:, order], objective)
 
 
-def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
-                   tol: float = 1e-6, seed: int = 0) -> LabelMap:
+def hfcm_partition(di: np.ndarray, seed: int = 0) -> LabelMap:
     """Two-stage 5-then-3 fuzzy clustering into changed / unchanged /
     intermediate; label boundaries follow the ordered 1-D cluster intervals,
     so changed DI values always dominate unchanged ones.
@@ -113,7 +115,7 @@ def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
     if np.ptp(flat) == 0.0:
         return LabelMap(labels.reshape(di.shape), degenerate=True)
 
-    stage1 = fcm(flat, k=5, m=m, max_iter=max_iter, tol=tol)
+    stage1 = fcm(flat, k=5)
     assign1 = np.argmin(np.abs(flat[:, None] - stage1.centers[None, :]), axis=1)
     labels[assign1 == 4] = int(Label.CHANGED)
     labels[assign1 == 0] = int(Label.UNCHANGED)
@@ -121,7 +123,7 @@ def hfcm_partition(di: np.ndarray, m: float = 2.0, max_iter: int = 300,
     middle = (assign1 >= 1) & (assign1 <= 3)
     mid_vals = flat[middle]
     if mid_vals.size > 3 and np.ptp(mid_vals) > 0.0:
-        stage2 = fcm(mid_vals, k=3, m=m, max_iter=max_iter, tol=tol)
+        stage2 = fcm(mid_vals, k=3)
         assign2 = np.argmin(np.abs(mid_vals[:, None] - stage2.centers[None, :]),
                             axis=1)
         sub = np.full(mid_vals.size, int(Label.INTERMEDIATE), dtype=np.int8)
@@ -145,9 +147,8 @@ def patch_windows(i1: np.ndarray, i2: np.ndarray, p: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (p, p, 2))[:-1, :-1, 0]
 
 
-def sample_patches(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
-                   p: int = 8, n_per_class: int = 1000,
-                   seed: int = 0) -> PatchBatch:
+def sample_patches(i1: np.ndarray, i2: np.ndarray, labels: LabelMap, *,
+                   p: int, n_per_class: int, seed: int) -> PatchBatch:
     """Balanced draw of changed/unchanged centers with reflect-padded
     extraction; deterministic under seed. Classes short on pixels are taken
     whole."""

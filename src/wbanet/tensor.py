@@ -58,27 +58,11 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         """Accumulate gradients of this scalar onto all requires_grad tensors."""
@@ -148,19 +132,9 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(_check_extents(shape)), requires_grad)
 
 
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_check_extents(shape), float(value)), requires_grad)
-
-
-def uniform(shape, lo: float, hi: float, rng, requires_grad: bool = False) -> Tensor:
-    """Uniform fill; ``rng`` is an int seed or a numpy Generator."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+def uniform(shape, lo: float, hi: float, rng: np.random.Generator,
+            requires_grad: bool = False) -> Tensor:
     return Tensor(rng.uniform(lo, hi, _check_extents(shape)), requires_grad)
-
-
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad)
 
 
 def eye(n: int, requires_grad: bool = False) -> Tensor:
@@ -409,23 +383,25 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's published defaults (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a list of parameter tensors."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise GradError(f"parameter {i} has no gradient; run backward first")
@@ -434,7 +410,7 @@ class Adam:
             self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
             m_hat = self._m[i] / (1 - b1 ** self.t)
             v_hat = self._v[i] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:

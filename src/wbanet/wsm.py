@@ -28,10 +28,6 @@ class WsmParams:
     w_o: Tensor        # (C + C/4, C) output projection over heads + reconstruction
     n_heads: int
 
-    @property
-    def d_head(self) -> int:
-        return self.w_q.shape[0] // self.n_heads
-
 
 def _check_dims(c: int, n_heads: int):
     if c % 4:

@@ -14,8 +14,8 @@ def params16():
     return init_bam_params(16, np.random.default_rng(0))
 
 
-def zero_params(c, r=2):
-    p = init_bam_params(c, np.random.default_rng(0), r=r)
+def zero_params(c):
+    p = init_bam_params(c, np.random.default_rng(0))
     for t in (p.fc_c1, p.fc_c2, p.fc_s1, p.fc_s2):
         t.data[...] = 0.0
     return p

@@ -56,6 +56,19 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x").exists()
 
+    def test_defaults_are_synth_config_defaults(self, tmp_path):
+        assert main(["synth", "-o", str(tmp_path / "d")]) == 0
+        written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
+        want = evalio.SynthConfig()
+        for key in ("h", "w", "looks", "seed", "background", "change"):
+            assert written[key] == getattr(want, key), key
+
+    def test_size_sets_height_and_width(self, tmp_path):
+        assert main(["synth", "--size", "48", "-o", str(tmp_path / "d")]) == 0
+        written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
+        assert (written["h"], written["w"]) == (48, 48)
+        assert evalio.read_pgm(tmp_path / "d" / "i1.pgm").shape == (48, 48)
+
 
 class TestRun:
     def test_full_run_writes_artifacts(self, tmp_path):
@@ -151,6 +164,40 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path}")
 
 
+
+@pytest.mark.parametrize("command", ["synth", "run"])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command):
+    data = make_pair(tmp_path)
+    capsys.readouterr()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"epoch": 5, "n_per_clas": 3, "seed": 1}))
+    argv = {"synth": ["synth"],
+            "run": ["run", "--i1", str(data / "i1.pgm"),
+                    "--i2", str(data / "i2.pgm")]}[command]
+    rc = main([*argv, "--config", str(cfg_file), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: --config {cfg_file}: unknown keys ['epoch', 'n_per_clas'];")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "run", "sweep-blocks"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    data = make_pair(tmp_path)
+    capsys.readouterr()
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    pair = ["--i1", str(data / "i1.pgm"), "--i2", str(data / "i2.pgm"),
+            "--gt", str(data / "gt.pgm"), *FAST]
+    argv = {"synth": ["synth", "--size", "32"], "run": ["run", *pair],
+            "sweep-blocks": ["sweep-blocks", *pair]}[command]
+    rc = main([*argv, "-o", str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: -o {target}")
+    assert target.read_text() == "not a directory"
+
+
 class TestSweep:
     def test_csv_rows_and_determinism(self, tmp_path):
         data = make_pair(tmp_path)
@@ -194,7 +241,7 @@ class TestSweep:
 
 class TestSelftest:
     def test_fresh_build_passes(self):
-        results = run_selftest(n_shapes=20, n_grad_seeds=5)
+        results = run_selftest()
         assert all(ok for _, ok, _ in results)
 
     def test_injected_wavelet_sign_bug_detected(self):
@@ -204,7 +251,7 @@ class TestSelftest:
             s[..., c:2 * c] *= -1.0  # flipped LH sign
             return s
 
-        results = run_selftest(dwt2=buggy_dwt, n_shapes=20, n_grad_seeds=2)
+        results = run_selftest(dwt2=buggy_dwt)
         recon = [ok for name, ok, _ in results if "reconstruction" in name]
         assert recon == [False]
 

@@ -122,7 +122,7 @@ class TestSynthPair:
 
     def test_ellipse_outside_frame_rejected(self):
         with pytest.raises(ConfigError):
-            synth_pair(SynthConfig(h=16, w=16, semi_axes=(10.0, 10.0)))
+            synth_pair(SynthConfig(h=16, w=16, change_fraction=0.9))
 
     def test_invalid_looks_rejected(self):
         with pytest.raises(ConfigError):

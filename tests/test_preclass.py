@@ -59,8 +59,6 @@ class TestFcm:
             fcm(np.arange(10.0), k=1)
         with pytest.raises(InputError):
             fcm(np.arange(3.0), k=3)
-        with pytest.raises(InputError):
-            fcm(np.arange(10.0), k=2, m=1.0)
 
 
 class TestHfcmPartition:

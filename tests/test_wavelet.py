@@ -17,14 +17,14 @@ def bands(stacked: Tensor) -> list[np.ndarray]:
 
 
 def test_constant_image_has_no_high_frequency():
-    ll, *high = bands(dwt2_stack(T.full((2, 2, 1), 1.0)))
+    ll, *high = bands(dwt2_stack(Tensor(np.full((2, 2, 1), 1.0))))
     assert ll.ravel()[0] == pytest.approx(2.0, abs=1e-15)
     for band in high:
         assert np.allclose(band, 0.0, atol=1e-15)
 
 
 def test_hand_example():
-    x = T.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
     ll, lh, hl, hh = bands(dwt2_stack(x))
     assert ll.ravel()[0] == pytest.approx(5.0)
     assert lh.ravel()[0] == pytest.approx(-2.0)
@@ -46,7 +46,7 @@ def test_round_trip_random():
 
 
 def test_idwt_of_trivial_subbands():
-    s = T.tensor(np.array([2.0, 0.0, 0.0, 0.0]).reshape(1, 1, 4))
+    s = Tensor(np.array([2.0, 0.0, 0.0, 0.0]).reshape(1, 1, 4))
     out = idwt2_stack(s)
     assert out.shape == (2, 2, 1)
     assert np.allclose(out.data, 1.0, atol=1e-12)

@@ -30,7 +30,7 @@ def test_downsample_constant_image_high_bands_zero():
     # block of the stacked output can be nonzero
     w_d = np.zeros((16, 4))
     w_d[:4, :4] = np.eye(4)
-    out = wavelet_downsample(T.full((4, 4, 16), 3.0), Tensor(w_d))
+    out = wavelet_downsample(Tensor(np.full((4, 4, 16), 3.0)), Tensor(w_d))
     assert np.allclose(out.data[..., 4:], 0.0, atol=1e-12)
     assert np.all(out.data[..., :4] != 0.0)
 
