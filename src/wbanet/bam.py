@@ -3,7 +3,6 @@ branch fused by broadcast addition into a multiplicative gate on the input."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,11 @@ def init_bam_params(c: int, rng: np.random.Generator) -> BamParams:
     r = 2  # the paper's channel reduction ratio, shared by both branches
     if c % r:
         raise ConfigError(f"embed dim {c} must be divisible by r={r}")
-
-    def u(fan_in, shape):
-        bound = 1.0 / math.sqrt(fan_in)
-        return T.uniform(shape, -bound, bound, rng, requires_grad=True)
-
     return BamParams(
-        fc_c1=u(c, (c, c // r)),
-        fc_c2=u(c // r, (c // r, c)),
-        fc_s1=u(c, (c, c // r)),
-        fc_s2=u(2 * c // r, (2 * c // r, 1)),
+        fc_c1=T.weight((c, c // r), rng),
+        fc_c2=T.weight((c // r, c), rng),
+        fc_s1=T.weight((c, c // r), rng),
+        fc_s2=T.weight((2 * c // r, 1), rng),
     )
 
 

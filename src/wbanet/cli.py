@@ -85,9 +85,7 @@ def cmd_synth(args) -> int:
     evalio.write_pgm(out / "gt.pgm", gt * 255)
     (center, axes) = cfg.resolved()
     _write_json(out / "synth_config.json", {
-        "h": cfg.h, "w": cfg.w, "looks": cfg.looks, "seed": cfg.seed,
-        "background": cfg.background, "change": cfg.change,
-        "center": list(center), "semi_axes": list(axes)})
+        **asdict(cfg), "center": list(center), "semi_axes": list(axes)})
     print(f"wrote i1.pgm, i2.pgm, gt.pgm to {out}")
     return EXIT_OK
 
@@ -105,30 +103,34 @@ def _model_config(opts: dict) -> ModelConfig:
     return ModelConfig(**{_MODEL_FIELDS[k]: v for k, v in opts.items()})
 
 
-def _read_pgm(flag: str, path: str) -> np.ndarray:
+def _read_pgm(flag: str, path: str) -> tuple[np.ndarray, int]:
     try:
-        return evalio.read_pgm(path)
+        return evalio.read_pgm_maxval(path)
     except OSError as exc:  # missing, a directory, no permission
         raise InputError(f"{flag} {path}: {exc}") from None
 
 
 def _load_pair(args):
-    i1 = _read_pgm("--i1", args.i1)
-    i2 = _read_pgm("--i2", args.i2)
+    i1, _ = _read_pgm("--i1", args.i1)
+    i2, _ = _read_pgm("--i2", args.i2)
     if i1.shape != i2.shape:
         raise InputError(f"image extents differ: {i1.shape} vs {i2.shape}")
     gt = None
     if args.gt:
-        gt = _read_pgm("--gt", args.gt)
+        gt, maxval = _read_pgm("--gt", args.gt)
         if gt.shape != i1.shape:
             raise InputError(f"ground truth extent {gt.shape} != {i1.shape}")
-        gt = (gt > 127).astype(np.uint8)
+        # set above half the maxval, so 0/1 and 0/255 masks read alike
+        gt = (gt > maxval / 2).astype(np.uint8)
     return i1, i2, gt
 
 
 def _preclassify(i1, i2):
     di = preclass.log_ratio(i1, i2)
     labels = preclass.hfcm_partition(di)
+    if labels.degenerate:
+        raise SamplingError("degenerate pre-classification: constant "
+                            "difference image")
     return di, labels
 
 
@@ -153,11 +155,6 @@ def cmd_run(args) -> int:
     out = _out_dir(args.out)
 
     di, labels = _preclassify(i1, i2)
-    if labels.degenerate:
-        print("degenerate pre-classification: constant difference image",
-              file=sys.stderr)
-        return EXIT_DEGENERATE
-
     params, history = train(i1, i2, labels, cfg)
     change = predict_map(i1, i2, labels, params, cfg)
     evalio.write_pgm(out / "change_map.pgm", change.values * 255)
@@ -186,16 +183,12 @@ def cmd_sweep_blocks(args) -> int:
     i1, i2, gt = _load_pair(args)
     if gt is None:
         raise InputError("sweep-blocks requires --gt to score each run")
-    opts = _merge_config(args, list(_MODEL_FIELDS))
-    base = _model_config({**opts, "blocks": 1})  # checked before any training
+    # the sweep range comes from the flags, so a config file may not set blocks
+    opts = _merge_config(args, [k for k in _MODEL_FIELDS if k != "blocks"])
+    base = _model_config(opts)  # checked before any training
     out = _out_dir(args.out)
 
     di, labels = _preclassify(i1, i2)
-    if labels.degenerate:
-        print("degenerate pre-classification: constant difference image",
-              file=sys.stderr)
-        return EXIT_DEGENERATE
-
     rows = []
     for n in range(args.blocks_from, args.blocks_to + 1):
         t0 = time.perf_counter()

@@ -17,7 +17,8 @@ class InputError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """Patch sampling cannot proceed (e.g. an empty label class)."""
+    """The data leave nothing to learn from: pre-classification is degenerate
+    (a constant difference image) or a label class to sample is empty."""
 
 
 class GradError(RuntimeError):

@@ -122,6 +122,11 @@ def write_pgm(path, grid: np.ndarray):
 
 def read_pgm(path) -> np.ndarray:
     """Binary PGM with comment support; errors carry byte offsets."""
+    return read_pgm_maxval(path)[0]
+
+
+def read_pgm_maxval(path) -> tuple[np.ndarray, int]:
+    """``read_pgm``'s grid and the maxval its header declares."""
     with open(path, "rb") as fh:
         raw = fh.read()
     pos = 0
@@ -169,4 +174,4 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"truncated payload: need {need} bytes, "
                           f"have {len(raw) - pos}", offset=pos)
     data = np.frombuffer(raw[pos:pos + need], dtype=np.uint8)
-    return data.reshape(height, width).astype(np.float64)
+    return data.reshape(height, width).astype(np.float64), maxval

@@ -5,8 +5,9 @@ change-map prediction with a binary checkpoint format."""
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .bam import BamParams, bam_forward, init_bam_params
 from .errors import ConfigError, FormatError, check_field_types
 from .preclass import Label, LabelMap, PatchBatch, patch_windows, sample_patches
 from .tensor import Adam, Tensor, no_grad
-from .wsm import WsmParams, init_wsm_params, wave_attention
+from .wsm import WsmParams, check_dims, init_wsm_params, wave_attention
 
 PROVENANCE_PSEUDO = 0
 PROVENANCE_NETWORK = 1
@@ -39,13 +40,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for name, low in (("patch_size", 2), ("embed_dim", 4), ("n_heads", 1),
+                          ("epochs", 1), ("batch_size", 1), ("n_per_class", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.patch_size % 2:
             raise ConfigError(f"patch_size must be even, got {self.patch_size}")
-        if self.embed_dim % 4:
-            raise ConfigError(f"embed_dim must be divisible by 4, got {self.embed_dim}")
-        if self.embed_dim % self.n_heads:
-            raise ConfigError(f"embed_dim {self.embed_dim} not divisible by "
-                              f"n_heads {self.n_heads}")
+        check_dims(self.embed_dim, self.n_heads)
         if not 1 <= self.n_blocks <= 8:
             raise ConfigError(f"n_blocks must be in [1, 8], got {self.n_blocks}")
 
@@ -64,16 +68,14 @@ class ModelParams:
     b_head: Tensor
 
     def named(self) -> list[tuple[str, Tensor]]:
+        """Checkpoint names in a fixed order: ``blocks.{i}.{wsm|bam}.{field}``
+        for each Tensor field of the module's params, in declaration order."""
         out = [("w_embed", self.w_embed)]
         for i, blk in enumerate(self.blocks):
-            out += [(f"blocks.{i}.wsm.w_d", blk.wsm.w_d),
-                    (f"blocks.{i}.wsm.w_q", blk.wsm.w_q),
-                    (f"blocks.{i}.wsm.kv_conv", blk.wsm.kv_conv),
-                    (f"blocks.{i}.wsm.w_o", blk.wsm.w_o),
-                    (f"blocks.{i}.bam.fc_c1", blk.bam.fc_c1),
-                    (f"blocks.{i}.bam.fc_c2", blk.bam.fc_c2),
-                    (f"blocks.{i}.bam.fc_s1", blk.bam.fc_s1),
-                    (f"blocks.{i}.bam.fc_s2", blk.bam.fc_s2)]
+            for module in ("wsm", "bam"):
+                p = getattr(blk, module)
+                out += [(f"blocks.{i}.{module}.{f.name}", getattr(p, f.name))
+                        for f in fields(p) if isinstance(getattr(p, f.name), Tensor)]
         out += [("w_head", self.w_head), ("b_head", self.b_head)]
         return out
 
@@ -88,10 +90,8 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Mod
     blocks = [WbaBlockParams(init_wsm_params(c, cfg.n_heads, rng),
                              init_bam_params(c, rng))
               for _ in range(cfg.n_blocks)]
-    bound = 1.0 / np.sqrt(2.0)
-    w_embed = T.uniform((2, c), -bound, bound, rng, requires_grad=True)
-    hb = 1.0 / np.sqrt(c)
-    w_head = T.uniform((c, 2), -hb, hb, rng, requires_grad=True)
+    w_embed = T.weight((2, c), rng)
+    w_head = T.weight((c, 2), rng)
     b_head = T.zeros((2,), requires_grad=True)
     return ModelParams(w_embed, blocks, w_head, b_head)
 
@@ -107,10 +107,9 @@ def block_forward(x: Tensor, blk: WbaBlockParams) -> Tensor:
     return T.add(x1, bam_forward(x1, blk.bam))
 
 
-def forward(patches, params: ModelParams) -> Tensor:
+def forward(patches: np.ndarray, params: ModelParams) -> Tensor:
     """(n, P, P, 2) patches -> (n, 2) logits."""
-    x = patches if isinstance(patches, Tensor) else Tensor(patches)
-    x = embed(x, params.w_embed)
+    x = embed(Tensor(patches), params.w_embed)
     for blk in params.blocks:
         x = block_forward(x, blk)
     pooled = T.reshape(T.global_avg_pool(x), (x.shape[0], x.shape[-1]))
@@ -141,7 +140,7 @@ def train(i1: np.ndarray, i2: np.ndarray, labels: LabelMap,
 
 def train_on_batch(batch: PatchBatch, cfg: ModelConfig) -> tuple[ModelParams, TrainHistory]:
     rng = np.random.default_rng(cfg.seed + 1)
-    params = init_params(cfg, np.random.default_rng(cfg.seed))
+    params = init_params(cfg)
     opt = Adam(params.tensors(), lr=cfg.lr)
     history = TrainHistory()
     n = batch.patches.shape[0]

@@ -114,10 +114,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _check_extents(shape: Iterable[int]) -> tuple[int, ...]:
     shape = tuple(int(s) for s in shape)
     if any(s < 1 for s in shape):
@@ -132,9 +128,12 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(_check_extents(shape)), requires_grad)
 
 
-def uniform(shape, lo: float, hi: float, rng: np.random.Generator,
-            requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, _check_extents(shape)), requires_grad)
+def weight(shape, rng: np.random.Generator) -> Tensor:
+    """Trainable U(-b, b) draw with b = 1/sqrt(fan-in), the fan-in being
+    shape[0] (LeCun et al., "Efficient BackProp", 1998)."""
+    shape = _check_extents(shape)
+    bound = 1.0 / math.sqrt(shape[0])
+    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
 def eye(n: int, requires_grad: bool = False) -> Tensor:
@@ -166,8 +165,7 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 # elementwise
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"cannot broadcast {a.shape} with {b.shape}")
     out = a.data + b.data
@@ -175,8 +173,7 @@ def add(a, b) -> Tensor:
                                          _unbroadcast(g, b.shape)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"cannot broadcast {a.shape} with {b.shape}")
     out = a.data * b.data
@@ -197,7 +194,6 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
@@ -221,8 +217,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map over the last axis; doubles as a 1x1 convolution."""
     if w.ndim != 2:
         raise ShapeError(f"weight must be 2-D, got {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"channel mismatch: input {x.shape} vs weight {w.shape}")
     lead = x.shape[:-1]
     flat = reshape(x, (-1, x.shape[-1]))
     out = matmul(flat, w)
@@ -245,7 +239,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     ref = parts[0].shape
     ax = axis % len(ref)
     for p in parts[1:]:
@@ -285,16 +278,9 @@ def expand(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and nonlinearities
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _node(np.asarray(out), (a,), backward)
+def tsum(a: Tensor) -> Tensor:
+    return _node(np.asarray(a.data.sum()), (a,),
+                 lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def global_avg_pool(a: Tensor) -> Tensor:

@@ -29,7 +29,8 @@ class WsmParams:
     n_heads: int
 
 
-def _check_dims(c: int, n_heads: int):
+def check_dims(c: int, n_heads: int):
+    """Raise ConfigError unless embed dim c divides by 4 (for C/4) and by n_heads."""
     if c % 4:
         raise ConfigError(f"embed dim {c} must be divisible by 4")
     if c % n_heads:
@@ -37,17 +38,12 @@ def _check_dims(c: int, n_heads: int):
 
 
 def init_wsm_params(c: int, n_heads: int, rng: np.random.Generator) -> WsmParams:
-    _check_dims(c, n_heads)
-
-    def u(fan_in, shape):
-        bound = 1.0 / math.sqrt(fan_in)
-        return T.uniform(shape, -bound, bound, rng, requires_grad=True)
-
+    check_dims(c, n_heads)
     return WsmParams(
-        w_d=u(c, (c, c // 4)),
+        w_d=T.weight((c, c // 4), rng),
         w_q=T.eye(c, requires_grad=True),
-        kv_conv=u(c, (c, 2 * c)),
-        w_o=u(c + c // 4, (c + c // 4, c)),
+        kv_conv=T.weight((c, 2 * c), rng),
+        w_o=T.weight((c + c // 4, c), rng),
         n_heads=n_heads,
     )
 
@@ -63,7 +59,7 @@ def wavelet_downsample(x: Tensor, w_d: Tensor) -> Tensor:
 def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False):
     """Multi-head attention with wavelet-downsampled KV; shape-preserving."""
     h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
-    _check_dims(c, p.n_heads)
+    check_dims(c, p.n_heads)
     lead = x.shape[:-3]
     n_tok = h * w
     dh = c // p.n_heads

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -59,9 +60,10 @@ class TestSynth:
     def test_defaults_are_synth_config_defaults(self, tmp_path):
         assert main(["synth", "-o", str(tmp_path / "d")]) == 0
         written = json.loads((tmp_path / "d" / "synth_config.json").read_text())
-        want = evalio.SynthConfig()
-        for key in ("h", "w", "looks", "seed", "background", "change"):
-            assert written[key] == getattr(want, key), key
+        want = dataclasses.asdict(evalio.SynthConfig())
+        assert written.keys() == want.keys() | {"center", "semi_axes"}
+        for key, value in want.items():
+            assert written[key] == value, key
 
     def test_size_sets_height_and_width(self, tmp_path):
         assert main(["synth", "--size", "48", "-o", str(tmp_path / "d")]) == 0
@@ -110,13 +112,48 @@ class TestRun:
                    "--i2", str(b / "i2.pgm"), "-o", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_degenerate_input_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "sweep-blocks"])
+    def test_degenerate_input_exits_3(self, tmp_path, capsys, command):
         flat = np.full((16, 16), 9.0)
         evalio.write_pgm(tmp_path / "f.pgm", flat)
-        rc = main(["run", "--i1", str(tmp_path / "f.pgm"),
-                   "--i2", str(tmp_path / "f.pgm"),
+        f = str(tmp_path / "f.pgm")
+        rc = main([command, "--i1", f, "--i2", f, "--gt", f, *FAST,
                    "-o", str(tmp_path / "x")])
         assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "error: degenerate pre-classification")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--heads", "0"), ("--heads", "-4"), ("--dim", "0"), ("--patch", "0"),
+        ("--n-per-class", "0"), ("--epochs", "0"), ("--lr", "-1"),
+        ("--lr", "nan"), ("--seed", "-1")])
+    def test_out_of_range_model_flag_exits_2(self, tmp_path, capsys, flag,
+                                             value):
+        data = make_pair(tmp_path)
+        capsys.readouterr()
+        rc = main(["run", "--i1", str(data / "i1.pgm"),
+                   "--i2", str(data / "i2.pgm"), *FAST, flag, value,
+                   "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_gt_maxval_does_not_change_metrics(self, tmp_path):
+        data = make_pair(tmp_path)
+        gt = (evalio.read_pgm(data / "gt.pgm") > 0).astype(np.uint8)
+        assert gt.any()
+        # the same mask stored as 0/1 with maxval 1
+        (tmp_path / "gt1.pgm").write_bytes(b"P5\n32 32\n1\n" + gt.tobytes())
+        metrics = []
+        for name, gt_path in (("r255", data / "gt.pgm"),
+                              ("r1", tmp_path / "gt1.pgm")):
+            out = tmp_path / name
+            rc = main(["run", "--i1", str(data / "i1.pgm"),
+                       "--i2", str(data / "i2.pgm"), "--gt", str(gt_path),
+                       "--blocks", "1", *FAST, "-o", str(out)])
+            assert rc == 0
+            metrics.append((out / "metrics.json").read_text())
+        assert metrics[0] == metrics[1]
 
     def test_config_file_precedence(self, tmp_path):
         data = make_pair(tmp_path)
@@ -230,6 +267,21 @@ class TestSweep:
         assert rc == 2
         assert "N=" not in captured.out
         assert captured.err.startswith("error: ")
+
+    def test_blocks_config_key_rejected(self, tmp_path, capsys):
+        # the sweep range comes from --blocks-from/--blocks-to only
+        data = make_pair(tmp_path)
+        capsys.readouterr()
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"blocks": 3, "epochs": 1}))
+        rc = main(["sweep-blocks", "--i1", str(data / "i1.pgm"),
+                   "--i2", str(data / "i2.pgm"), "--gt", str(data / "gt.pgm"),
+                   "--blocks-from", "1", "--blocks-to", "1", *FAST,
+                   "--config", str(cfg_file), "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --config {cfg_file}: unknown keys ['blocks'];")
+        assert not (tmp_path / "x").exists()
 
     def test_requires_gt(self, tmp_path):
         data = make_pair(tmp_path)

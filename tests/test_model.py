@@ -32,10 +32,30 @@ class TestConfig:
                                      dict(n_heads=3), dict(n_blocks=0),
                                      dict(n_blocks=9), dict(n_blocks="2"),
                                      dict(epochs=2.0), dict(lr="0.1"),
-                                     dict(seed=True)])
+                                     dict(seed=True), dict(patch_size=0),
+                                     dict(patch_size=-2), dict(embed_dim=0),
+                                     dict(n_heads=0), dict(n_heads=-4),
+                                     dict(epochs=0), dict(batch_size=0),
+                                     dict(n_per_class=0), dict(lr=-1.0),
+                                     dict(lr=0), dict(lr=float("nan")),
+                                     dict(lr=float("inf")), dict(seed=-1)])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             ModelConfig(**{**MINI, **bad})
+
+
+def test_named_checkpoint_order():
+    # the checkpoint stores tensors under these names, in this order
+    names = [name for name, _ in init_params(mini_cfg(n_blocks=2)).named()]
+    assert names == [
+        "w_embed",
+        "blocks.0.wsm.w_d", "blocks.0.wsm.w_q", "blocks.0.wsm.kv_conv",
+        "blocks.0.wsm.w_o", "blocks.0.bam.fc_c1", "blocks.0.bam.fc_c2",
+        "blocks.0.bam.fc_s1", "blocks.0.bam.fc_s2",
+        "blocks.1.wsm.w_d", "blocks.1.wsm.w_q", "blocks.1.wsm.kv_conv",
+        "blocks.1.wsm.w_o", "blocks.1.bam.fc_c1", "blocks.1.bam.fc_c2",
+        "blocks.1.bam.fc_s1", "blocks.1.bam.fc_s2",
+        "w_head", "b_head"]
 
 
 class TestForward:
@@ -191,7 +211,9 @@ class TestCheckpoint:
         (dict(), dict(dropout=0.1)),                # unknown key
         (dict(), dict(embed_dim=16)),               # every shape wrong
         (dict(), dict(n_heads=3)),                  # config itself invalid
-    ], ids=["more-blocks", "fewer-blocks", "unknown-key", "embed-dim", "n-heads"])
+        (dict(), dict(n_heads=0)),                  # out of range, not a crash
+    ], ids=["more-blocks", "fewer-blocks", "unknown-key", "embed-dim", "n-heads",
+            "n-heads-0"])
     def test_config_not_fitting_tensors_rejected(self, tmp_path, saved, changes):
         cfg = mini_cfg(**saved)
         path = tmp_path / "model.wban"

@@ -18,9 +18,11 @@ class TestCreation:
         assert np.array_equal(t.data, np.zeros((2, 2)))
 
     def test_uniform_seeded_identical(self):
-        a = T.uniform((4,), -1, 1, np.random.default_rng(7))
-        b = T.uniform((4,), -1, 1, np.random.default_rng(7))
+        a = T.weight((9, 3), np.random.default_rng(7))
+        b = T.weight((9, 3), np.random.default_rng(7))
         assert np.array_equal(a.data, b.data)
+        assert a.requires_grad
+        assert np.all(np.abs(a.data) <= 1.0 / 3.0)
 
     @pytest.mark.parametrize("shape", [(0,), (2, -1), (0, 3)])
     def test_bad_extent(self, shape):
