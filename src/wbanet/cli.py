@@ -1,10 +1,11 @@
 """Command-line entry point: synthetic data generation, the full
 change-detection run, the block-count sweep, and the invariant selftest.
 
-Option precedence: command-line flags override --config JSON values, which
-override built-in defaults. Every command persists its resolved configuration
-next to its outputs. Exit codes: 0 success, 2 input/config error, 3
-degenerate-data error.
+``@FILE`` reads arguments from FILE, one per line (``--epochs=10``), through
+the same parser as flags; a later option overrides an earlier one, and unset
+options take the config dataclass defaults. Every command persists its
+resolved configuration next to its outputs. Exit codes: 0 success, 2
+input/config or usage error, 3 degenerate-data error.
 """
 
 from __future__ import annotations
@@ -30,29 +31,9 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """defaults < --config file < explicit flags."""
-    merged: dict = {}
-    cfg_path = args.config
-    if cfg_path:
-        try:
-            with open(cfg_path) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable path, bad JSON/UTF-8
-            raise ConfigError(f"--config {cfg_path}: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"--config {cfg_path}: expected a JSON object, "
-                              f"got {type(file_cfg).__name__}")
-        unknown = sorted(file_cfg.keys() - set(keys))
-        if unknown:
-            raise ConfigError(f"--config {cfg_path}: unknown keys {unknown}; "
-                              f"known keys are {sorted(keys)}")
-        merged.update(file_cfg)
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
-    return merged
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The options among ``keys`` that were given; the dataclass holds the rest."""
+    return {k: v for k, v in vars(args).items() if k in keys and v is not None}
 
 
 def _out_dir(path: str) -> Path:
@@ -73,8 +54,8 @@ def _write_json(path: Path, payload: dict):
 # synth
 
 def cmd_synth(args) -> int:
-    opts = _merge_config(args, ["size", "looks", "seed", "change_fraction",
-                                "background", "change"])
+    opts = _given(args, ["size", "looks", "seed", "change_fraction",
+                         "background", "change"])
     if "size" in opts:  # SynthConfig holds the defaults
         opts["h"] = opts["w"] = opts.pop("size")
     cfg = evalio.SynthConfig(**opts)
@@ -93,7 +74,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # run
 
-# flag / config-file key -> ModelConfig field; ModelConfig holds the defaults
+# flag dest -> ModelConfig field; ModelConfig holds the defaults
 _MODEL_FIELDS = {"seed": "seed", "patch": "patch_size", "dim": "embed_dim",
                  "heads": "n_heads", "blocks": "n_blocks", "epochs": "epochs",
                  "lr": "lr", "n_per_class": "n_per_class"}
@@ -150,8 +131,7 @@ def _threshold_fallback(di: np.ndarray, labels) -> ChangeMap:
 
 def cmd_run(args) -> int:
     i1, i2, gt = _load_pair(args)
-    opts = _merge_config(args, list(_MODEL_FIELDS))
-    cfg = _model_config(opts)
+    cfg = _model_config(_given(args, _MODEL_FIELDS))
     out = _out_dir(args.out)
 
     di, labels = _preclassify(i1, i2)
@@ -183,8 +163,7 @@ def cmd_sweep_blocks(args) -> int:
     i1, i2, gt = _load_pair(args)
     if gt is None:
         raise InputError("sweep-blocks requires --gt to score each run")
-    # the sweep range comes from the flags, so a config file may not set blocks
-    opts = _merge_config(args, [k for k in _MODEL_FIELDS if k != "blocks"])
+    opts = _given(args, _MODEL_FIELDS)
     base = _model_config(opts)  # checked before any training
     out = _out_dir(args.out)
 
@@ -284,41 +263,37 @@ def cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="wbanet",
-        description="Wavelet-attention SAR change detection. Option "
-                    "precedence: flags > --config JSON > defaults.")
+        prog="wbanet", fromfile_prefix_chars="@",
+        description="Wavelet-attention SAR change detection. @FILE reads "
+                    "arguments from FILE, one per line; a later flag wins.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a synthetic speckled pair")
-    synth.add_argument("--size", type=int, default=None)
-    synth.add_argument("--looks", type=float, default=None)
-    synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--change-fraction", dest="change_fraction",
-                       type=float, default=None)
-    synth.add_argument("--background", type=float, default=None)
-    synth.add_argument("--change", type=float, default=None)
-    synth.add_argument("--config", default=None)
+    synth.add_argument("--size", type=int)
+    synth.add_argument("--looks", type=float)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--change-fraction", type=float)
+    synth.add_argument("--background", type=float)
+    synth.add_argument("--change", type=float)
     synth.add_argument("-o", "--out", required=True)
     synth.set_defaults(func=cmd_synth)
 
     def add_model_flags(p):
         p.add_argument("--i1", required=True)
         p.add_argument("--i2", required=True)
-        p.add_argument("--gt", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--patch", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--heads", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--n-per-class", dest="n_per_class", type=int,
-                       default=None)
-        p.add_argument("--config", default=None)
+        p.add_argument("--gt")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--patch", type=int)
+        p.add_argument("--dim", type=int)
+        p.add_argument("--heads", type=int)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--n-per-class", type=int)
         p.add_argument("-o", "--out", required=True)
 
     run = sub.add_parser("run", help="full pipeline on an image pair")
     add_model_flags(run)
-    run.add_argument("--blocks", type=int, default=None)
+    run.add_argument("--blocks", type=int)
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep-blocks",
@@ -335,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UnicodeDecodeError as exc:  # an @file that is not text (Python < 3.12)
+        parser.error(str(exc))
     try:
         return args.func(args)
     except (ConfigError, InputError, FormatError) as exc:

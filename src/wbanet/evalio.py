@@ -71,6 +71,19 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        for name, low in (("seed", 0), ("looks", 1), ("background", 0),
+                          ("change", 0)):
+            if not low <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= {low}, "
+                                  f"got {getattr(self, name)}")
+        if not 0 < self.change_fraction < 1:
+            raise ConfigError("change_fraction must be in (0, 1), got "
+                              f"{self.change_fraction}")
+        (cy, cx), (ry, rx) = self.resolved()
+        if cy - ry <= 0 or cy + ry >= self.h - 1 or cx - rx <= 0 or cx + rx >= self.w - 1:
+            raise ConfigError(f"ellipse (center=({cy:.1f},{cx:.1f}), "
+                              f"axes=({ry:.1f},{rx:.1f})) exceeds the "
+                              f"{self.h}x{self.w} frame")
 
     def resolved(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(row, col) centre and radii of the change ellipse: centred in the
@@ -89,13 +102,7 @@ def ellipse_mask(h: int, w: int, center, semi_axes) -> np.ndarray:
 def synth_pair(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reflectivity field with an elliptical change region, multiplied by
     independent L-look gamma speckle per acquisition. Returns (i1, i2, gt)."""
-    if cfg.looks < 1:
-        raise ConfigError(f"looks must be >= 1, got {cfg.looks}")
     (cy, cx), (ry, rx) = cfg.resolved()
-    if cy - ry <= 0 or cy + ry >= cfg.h - 1 or cx - rx <= 0 or cx + rx >= cfg.w - 1:
-        raise ConfigError(f"ellipse (center=({cy:.1f},{cx:.1f}), "
-                          f"axes=({ry:.1f},{rx:.1f})) exceeds the "
-                          f"{cfg.h}x{cfg.w} frame")
     gt = ellipse_mask(cfg.h, cfg.w, (cy, cx), (ry, rx))
     refl1 = np.full((cfg.h, cfg.w), cfg.background)
     refl2 = refl1.copy()

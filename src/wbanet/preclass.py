@@ -41,7 +41,6 @@ class FcmResult:
     centers: np.ndarray           # (k,) sorted ascending
     memberships: np.ndarray       # (n, k) rows sum to 1
     objective: list[float] = field(default_factory=list)
-    degenerate: bool = False
 
 
 def log_ratio(i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
@@ -74,10 +73,6 @@ def fcm(values: np.ndarray, k: int) -> FcmResult:
         raise InputError(f"need k >= 2 clusters, got {k}")
     if n <= k:
         raise InputError(f"need more samples ({n}) than clusters ({k})")
-    if np.ptp(x) == 0.0:
-        u = np.zeros((n, k))
-        u[:, 0] = 1.0
-        return FcmResult(np.full(k, x[0]), u, degenerate=True)
 
     centers = np.quantile(x, (np.arange(k) + 0.5) / k)
     expo = 1.0 / (FCM_M - 1.0)

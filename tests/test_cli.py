@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import sys
+import typing
 
 import numpy as np
 import pytest
 
 from wbanet import evalio
-from wbanet.cli import main, run_selftest
+from wbanet.cli import _MODEL_FIELDS, build_parser, main, run_selftest
+from wbanet.model import ModelConfig
 from wbanet.wavelet import dwt2_numpy
 
 
@@ -24,6 +27,20 @@ def make_pair(tmp_path, size=32, seed=3):
 
 FAST = ["--epochs", "2", "--dim", "8", "--heads", "2", "--patch", "4",
         "--n-per-class", "20"]
+
+
+def args_file(path, *lines):
+    """Write an option file, one argument per line; return its @ argument."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
+def usage_error(argv, capsys) -> str:
+    """Run main, expecting argparse's exit 2; return what it wrote to stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestSynth:
@@ -44,17 +61,30 @@ class TestSynth:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg", [{"size": "32"}, {"size": 32.0},
-                                     {"looks": "4"}, {"seed": 1.5},
-                                     {"change": None}],
-                             ids=["size-str", "size-float", "looks-str",
-                                  "seed-float", "change-null"])
-    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, cfg):
-        cfg_file = tmp_path / "s.json"
-        cfg_file.write_text(json.dumps(cfg))
-        rc = main(["synth", "--config", str(cfg_file), "-o", str(tmp_path / "x")])
+    @pytest.mark.parametrize("line,message", [
+        ("--size=32.0", "argument --size: invalid int value: '32.0'"),
+        ("--looks=four", "argument --looks: invalid float value: 'four'"),
+        ("--seed=1.5", "argument --seed: invalid int value: '1.5'"),
+        ("--change=", "argument --change: invalid float value: ''")],
+        ids=["size-float", "looks-str", "seed-float", "change-null"])
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, line,
+                                                message):
+        opts = args_file(tmp_path / "s.args", line)
+        err = usage_error(["synth", opts, "-o", str(tmp_path / "x")], capsys)
+        assert f"error: {message}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--change-fraction", "0"),
+        ("--change-fraction", "-0.1"), ("--change-fraction", "nan"),
+        ("--looks", "nan"), ("--change", "nan")])
+    def test_out_of_range_synth_flag_exits_2(self, tmp_path, capsys, flag,
+                                             value):
+        rc = main(["synth", "--size", "32", f"{flag}={value}",
+                   "-o", str(tmp_path / "x")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag[2:].replace('-', '_')} must be")
         assert not (tmp_path / "x").exists()
 
     def test_defaults_are_synth_config_defaults(self, tmp_path):
@@ -157,46 +187,63 @@ class TestRun:
 
     def test_config_file_precedence(self, tmp_path):
         data = make_pair(tmp_path)
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(
-            {"epochs": 1, "dim": 8, "heads": 2, "patch": 4,
-             "n_per_class": 10, "blocks": 2}))
+        opts = args_file(tmp_path / "cfg.args", "--epochs=1", "--dim=8",
+                         "--heads=2", "--patch=4", "--n-per-class=10",
+                         "--blocks=2")
         out = tmp_path / "run"
-        # flag overrides the config file's blocks=2
+        # the flag after the file overrides its --blocks=2
         rc = main(["run", "--i1", str(data / "i1.pgm"),
-                   "--i2", str(data / "i2.pgm"),
-                   "--config", str(cfg_file), "--blocks", "1",
+                   "--i2", str(data / "i2.pgm"), opts, "--blocks", "1",
                    "-o", str(out)])
         assert rc == 0
         resolved = json.loads((out / "run_config.json").read_text())
         assert resolved["config"]["n_blocks"] == 1
         assert resolved["config"]["epochs"] == 1
 
-    @pytest.mark.parametrize("text", ['{"epochs": 1,', "[1, 2]",
-                                      '{"blocks": "2"}'],
-                             ids=["malformed", "not-an-object", "wrong-type"])
-    def test_bad_config_file_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("content,message", [
+        (b"--dim=8\n--epochs\n", "argument --epochs: expected one argument"),
+        (b"--dim=8\n1\n", "unrecognized arguments: 1"),
+        (b"--blocks=two\n", "argument --blocks: invalid int value: 'two'"),
+        # argparse decodes an @file strictly before Python 3.12 and with
+        # surrogateescape from 3.12 on
+        (b"--epochs\n--dim=\xff\n", "codec can't decode byte 0xff"
+         if sys.version_info < (3, 12) else
+         "argument --epochs: expected one argument")],
+        ids=["missing-value", "stray-token", "wrong-type", "not-text"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, content, message):
         data = make_pair(tmp_path)
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(text)
-        rc = main(["run", "--i1", str(data / "i1.pgm"),
-                   "--i2", str(data / "i2.pgm"), "--config", str(cfg_file),
-                   "-o", str(tmp_path / "run")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        capsys.readouterr()
+        (tmp_path / "cfg.args").write_bytes(content)
+        err = usage_error(["run", "--i1", str(data / "i1.pgm"),
+                           "--i2", str(data / "i2.pgm"),
+                           "-o", str(tmp_path / "run"),
+                           f"@{tmp_path / 'cfg.args'}"], capsys)
+        assert message in err.splitlines()[-1]
+        assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("command,flag", [
-        ("synth", "--config"), ("run", "--config"), ("run", "--i1"),
-        ("run", "--i2"), ("run", "--gt")])
-    def test_directory_as_input_path_exits_2(self, tmp_path, capsys,
-                                             command, flag):
+    @pytest.mark.parametrize("command", ["synth", "run"])
+    def test_directory_as_option_file_exits_2(self, tmp_path, capsys,
+                                              command):
         data = make_pair(tmp_path)
         capsys.readouterr()
         argv = {"synth": ["synth"],
                 "run": ["run", "--i1", str(data / "i1.pgm"),
                         "--i2", str(data / "i2.pgm")]}[command]
-        argv = [*argv, flag, str(tmp_path), "-o", str(tmp_path / "out")]
-        rc = main(argv)
+        err = usage_error([*argv, f"@{tmp_path}", "-o", str(tmp_path / "out")],
+                          capsys)
+        assert err.splitlines()[-1].endswith(
+            f"Is a directory: '{tmp_path}'")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--i1"), ("run", "--i2"), ("run", "--gt")])
+    def test_directory_as_input_path_exits_2(self, tmp_path, capsys,
+                                             command, flag):
+        data = make_pair(tmp_path)
+        capsys.readouterr()
+        rc = main([command, "--i1", str(data / "i1.pgm"),
+                   "--i2", str(data / "i2.pgm"), flag, str(tmp_path),
+                   "-o", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path}")
 
@@ -206,17 +253,33 @@ class TestRun:
 def test_unknown_config_keys_exit_2(tmp_path, capsys, command):
     data = make_pair(tmp_path)
     capsys.readouterr()
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"epoch": 5, "n_per_clas": 3, "seed": 1}))
+    opts = args_file(tmp_path / "cfg.args", "--seed=1", "--epochz=5")
     argv = {"synth": ["synth"],
             "run": ["run", "--i1", str(data / "i1.pgm"),
                     "--i2", str(data / "i2.pgm")]}[command]
-    rc = main([*argv, "--config", str(cfg_file), "-o", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: --config {cfg_file}: unknown keys ['epoch', 'n_per_clas'];")
+    err = usage_error([*argv, opts, "-o", str(tmp_path / "out")], capsys)
+    assert err.splitlines()[-1] == \
+        "wbanet: error: unrecognized arguments: --epochz=5"
     assert not (tmp_path / "out").exists()
+
+
+def test_flag_types_match_field_types():
+    """argparse is the only type gate for CLI values, so each flag's type
+    must be the annotation of the config field it sets."""
+    commands = next(a for a in build_parser()._actions
+                    if a.dest == "command").choices
+    run_types = {a.dest: a.type for a in commands["run"]._actions}
+    model_hints = typing.get_type_hints(ModelConfig)
+    for dest, field in _MODEL_FIELDS.items():
+        assert run_types[dest] is model_hints[field], dest
+    synth_hints = typing.get_type_hints(evalio.SynthConfig)
+    synth_fields = {"w"}  # --size sets h and w
+    for a in commands["synth"]._actions:
+        if a.dest not in ("help", "out"):
+            field = "h" if a.dest == "size" else a.dest
+            assert a.type is synth_hints[field], a.dest
+            synth_fields.add(field)
+    assert synth_fields == synth_hints.keys()
 
 
 @pytest.mark.parametrize("command", ["synth", "run", "sweep-blocks"])
@@ -272,15 +335,15 @@ class TestSweep:
         # the sweep range comes from --blocks-from/--blocks-to only
         data = make_pair(tmp_path)
         capsys.readouterr()
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"blocks": 3, "epochs": 1}))
-        rc = main(["sweep-blocks", "--i1", str(data / "i1.pgm"),
-                   "--i2", str(data / "i2.pgm"), "--gt", str(data / "gt.pgm"),
-                   "--blocks-from", "1", "--blocks-to", "1", *FAST,
-                   "--config", str(cfg_file), "-o", str(tmp_path / "x")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: --config {cfg_file}: unknown keys ['blocks'];")
+        opts = args_file(tmp_path / "cfg.args", "--blocks=3", "--epochs=1")
+        err = usage_error(["sweep-blocks", "--i1", str(data / "i1.pgm"),
+                           "--i2", str(data / "i2.pgm"),
+                           "--gt", str(data / "gt.pgm"),
+                           "--blocks-from", "1", "--blocks-to", "1", *FAST,
+                           opts, "-o", str(tmp_path / "x")], capsys)
+        assert err.splitlines()[-1].endswith(
+            "error: ambiguous option: --blocks=3 could match --blocks-from, "
+            "--blocks-to")
         assert not (tmp_path / "x").exists()
 
     def test_requires_gt(self, tmp_path):

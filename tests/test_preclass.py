@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,15 @@ class TestFcm:
         assert np.all(diffs <= 1e-9)
 
     def test_degenerate_data_flagged(self):
-        res = fcm(np.full(100, 3.0), k=2)
-        assert res.degenerate
-        assert np.allclose(res.memberships.sum(axis=1), 1.0)
+        # constant data need no special case: every centre lands on the
+        # value (up to summation rounding) and the memberships are uniform
+        # after one iteration
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fcm(np.full(500, 3.0), k=3)
+        np.testing.assert_allclose(res.centers, 3.0, rtol=1e-12)
+        assert np.all(res.memberships == 1.0 / 3.0)
+        assert len(res.objective) == 1
 
     def test_preconditions(self):
         with pytest.raises(InputError):

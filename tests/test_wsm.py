@@ -5,7 +5,7 @@ import pytest
 
 from conftest import max_rel_grad_err
 from wbanet import tensor as T
-from wbanet.errors import ConfigError
+from wbanet.errors import ConfigError, ShapeError
 from wbanet.tensor import Tensor
 from wbanet.wavelet import idwt2_numpy
 from wbanet.wsm import init_wsm_params, wave_attention, wavelet_downsample
@@ -40,7 +40,7 @@ def test_indivisible_channels_rejected():
     with pytest.raises(ConfigError):
         init_wsm_params(6, 2, rng)
     p = init_wsm_params(8, 2, rng)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError):  # 6 channels against an (8, 2) w_d
         wavelet_downsample(T.zeros((4, 4, 6)), p.w_d)
 
 
