@@ -80,9 +80,12 @@ class SynthConfig:
             raise ConfigError("change_fraction must be in (0, 1), got "
                               f"{self.change_fraction}")
         (cy, cx), (ry, rx) = self.resolved()
+        ellipse = (f"ellipse (center=({cy:.1f},{cx:.1f}), "
+                   f"axes=({ry:.1f},{rx:.1f}))")
         if cy - ry <= 0 or cy + ry >= self.h - 1 or cx - rx <= 0 or cx + rx >= self.w - 1:
-            raise ConfigError(f"ellipse (center=({cy:.1f},{cx:.1f}), "
-                              f"axes=({ry:.1f},{rx:.1f})) exceeds the "
+            raise ConfigError(f"{ellipse} exceeds the {self.h}x{self.w} frame")
+        if not ellipse_mask(self.h, self.w, (cy, cx), (ry, rx)).any():
+            raise ConfigError(f"{ellipse} covers no pixel of the "
                               f"{self.h}x{self.w} frame")
 
     def resolved(self) -> tuple[tuple[float, float], tuple[float, float]]:

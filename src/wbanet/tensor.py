@@ -10,6 +10,8 @@ Aliasing rule: a kernel, forward or backward, may write in place only into an
 array it allocated itself. It never writes into a parent's ``.data`` (the
 caller still holds it) or into the gradient ``g`` its backward receives:
 ``add``'s backward hands the same ``g``, or views of it, to both parents.
+``Tensor.backward`` keeps the same rule when a tensor has several consumers:
+it adds their gradients in place only into a sum it allocated.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        owned: set[int] = set()  # grads entries this loop allocated
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
@@ -97,10 +100,16 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward_fn(g)):
                 if pg is None:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                key = id(parent)
+                if key in owned:
+                    grads[key] += pg
+                elif key in grads:
+                    # the first arrival may be shared (add hands one g to
+                    # both parents): sum into a fresh buffer, then own it
+                    grads[key] = grads[key] + pg
+                    owned.add(key)
                 else:
-                    grads[id(parent)] = pg
+                    grads[key] = pg
         self._consumed = True
 
 
@@ -336,15 +345,18 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
+def softmax_rows(a: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis`` (the last by default), max-subtracted for
+    stability. Reducing a non-innermost axis lets NumPy vectorise the max and
+    the sum across the contiguous axis; a short innermost axis is its slowest
+    reduction shape."""
     x = a.data
-    out = x - x.max(axis=-1, keepdims=True)  # the one fresh full-size buffer
+    out = x - x.max(axis=axis, keepdims=True)  # the one fresh full-size buffer
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
+        dot = (g * out).sum(axis=axis, keepdims=True)
         grad = g - dot
         grad *= out
         return (grad,)

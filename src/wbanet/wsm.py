@@ -5,6 +5,15 @@ from a channel-reduced copy pushed through the Haar DWT, so the KV token
 count is a quarter of the query token count while the downsampling stays
 invertible. The inverse transform of the same subbands is concatenated to
 the attention heads before the output projection.
+
+Each head's scores are stored key-major, ``(..., HW/4, HW) = K_i Q_i^T``,
+and the softmax reduces over axis -2; the head is ``(V_i^T A_i)^T``. The
+maths is softmax(Q_i K_i^T / sqrt(d)) V_i either way, but in the query-major
+layout every max and sum reduces a short innermost axis of HW/4 keys, which
+NumPy does several times slower than a reduction vectorised across the
+contiguous query axis. Forming the head from ``V_i^T A_i`` keeps the
+backward key-major too: the softmax's incoming gradient is then a fresh
+contiguous ``(..., HW/4, HW)`` array, not a transposed view of one.
 """
 
 from __future__ import annotations
@@ -54,7 +63,10 @@ def wavelet_downsample(x: Tensor, w_d: Tensor) -> Tensor:
 
 
 def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False):
-    """Multi-head attention with wavelet-downsampled KV; shape-preserving."""
+    """Multi-head attention with wavelet-downsampled KV; shape-preserving.
+
+    With ``return_attn`` it also returns each head's attention map query-major,
+    ``(..., HW, HW/4)``, each row summing to 1 over the keys."""
     h, w, c = x.shape[-3], x.shape[-2], x.shape[-1]
     check_dims(c, p.n_heads)
     lead = x.shape[:-3]
@@ -75,11 +87,11 @@ def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False):
         qi = T.narrow(q, -1, i * dh, dh)
         ki = T.narrow(k, -1, i * dh, dh)
         vi = T.narrow(v, -1, i * dh, dh)
-        scores = T.scale(T.matmul(qi, T.transpose_last2(ki)), 1.0 / math.sqrt(dh))
-        attn = T.softmax_rows(scores)                       # (..., HW, HW/4)
+        scores = T.scale(T.matmul(ki, T.transpose_last2(qi)), 1.0 / math.sqrt(dh))
+        attn = T.softmax_rows(scores, axis=-2)              # (..., HW/4, HW)
         if return_attn:
-            attn_maps.append(attn.data.copy())
-        heads.append(T.matmul(attn, vi))
+            attn_maps.append(np.swapaxes(attn.data, -1, -2).copy())
+        heads.append(T.transpose_last2(T.matmul(T.transpose_last2(vi), attn)))
 
     fused = T.concat(heads + [x_r_tok], axis=-1)            # (..., HW, C + C/4)
     out = T.reshape(T.linear(fused, p.w_o), lead + (h, w, c))

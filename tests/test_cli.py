@@ -87,6 +87,17 @@ class TestSynth:
             f"error: {flag[2:].replace('-', '_')} must be")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [["--size", "4"],
+                                      ["--change-fraction", "1e-6"]],
+                             ids=["size-4", "change-fraction-1e-6"])
+    def test_empty_change_region_exits_2(self, tmp_path, capsys, argv):
+        # the ellipse fits the frame but contains no pixel centre, so the
+        # ground truth would have no changed pixel
+        rc = main(["synth", *argv, "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert "covers no pixel" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_defaults_are_synth_config_defaults(self, tmp_path):
         assert main(["synth", "-o", str(tmp_path / "d")]) == 0
         written = json.loads((tmp_path / "d" / "synth_config.json").read_text())

@@ -183,8 +183,23 @@ class TestSoftmax:
             lambda: T.tsum(T.mul(T.softmax_rows(x), w)), [x], rng)
         assert err < 1e-5
 
-    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-    def test_in_place_contract(self, layout):
+    def test_grad_key_axis(self):
+        # axis=-2, the key-major layout wave_attention uses
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4, 6)))
+        err = max_rel_grad_err(
+            lambda: T.tsum(T.mul(T.softmax_rows(x, axis=-2), w)), [x], rng)
+        assert err < 1e-5
+        assert np.allclose(T.softmax_rows(x, axis=-2).data.sum(axis=-2), 1.0,
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("layout,axis", [
+        pytest.param("contiguous", -1, id="contiguous"),
+        pytest.param("transposed", -1, id="transposed"),
+        pytest.param("contiguous", -2, id="contiguous-axis-2"),
+        pytest.param("transposed", -2, id="transposed-axis-2")])
+    def test_in_place_contract(self, layout, axis):
         # the output is built in place in one fresh buffer; it must equal the
         # three-temporary formula bitwise and write into neither the input
         # nor the incoming gradient, which add's backward shares
@@ -194,15 +209,15 @@ class TestSoftmax:
             x = np.swapaxes(x, 0, 2)
         a = Tensor(x, requires_grad=True)
         x0 = a.data.copy(order="K")  # same layout, same summation order
-        out = T.softmax_rows(a)
-        e = np.exp(x0 - x0.max(axis=-1, keepdims=True))
-        assert np.array_equal(out.data, e / e.sum(axis=-1, keepdims=True))
+        out = T.softmax_rows(a, axis=axis)
+        e = np.exp(x0 - x0.max(axis=axis, keepdims=True))
+        assert np.array_equal(out.data, e / e.sum(axis=axis, keepdims=True))
         assert np.array_equal(a.data, x0)
         g = rng.normal(size=a.shape)
         g0 = g.copy()
         (gx,) = out._backward_fn(g)
         assert np.array_equal(g, g0)
-        dot = (g0 * out.data).sum(axis=-1, keepdims=True)
+        dot = (g0 * out.data).sum(axis=axis, keepdims=True)
         assert np.array_equal(gx, out.data * (g0 - dot))
 
 
@@ -303,6 +318,35 @@ class TestBackwardContract:
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(GradError):
             T.mul(w, w).backward()
+
+    def test_shared_gradient_accumulates_without_aliasing(self):
+        # x feeds four consumers; add's backward hands its one g to both x
+        # and b. Gradients are summed in place only into a buffer the engine
+        # allocated: x gets the exact sum, and g and b's gradient stay intact.
+        # Integer-valued data keeps every partial sum exact, so any summation
+        # order gives the same bits.
+        rng = np.random.default_rng(9)
+        xd = rng.integers(-4, 5, size=(3, 4)).astype(float)
+        w1, w2 = (Tensor(rng.integers(-4, 5, size=(3, 4)).astype(float))
+                  for _ in range(2))
+        x = Tensor(xd, requires_grad=True)
+        b = Tensor(np.zeros((3, 4)), requires_grad=True)
+        s = T.add(x, b)
+        received = []
+        add_backward = s._backward_fn
+
+        def spy(g):
+            received.append((g, g.copy()))
+            return add_backward(g)
+
+        s._backward_fn = spy
+        loss = T.tsum(T.add(T.add(T.mul(s, w1), T.mul(x, w2)),
+                            T.add(T.scale(x, 3.0), T.scale(x, -2.0))))
+        loss.backward()
+        ((g, g0),) = received
+        assert np.array_equal(g, g0) and np.array_equal(g0, w1.data)
+        assert np.array_equal(b.grad, w1.data)
+        assert np.array_equal(x.grad, w1.data + w2.data + 3.0 - 2.0)
 
     def test_no_grad_suppresses_graph(self):
         w = Tensor([1.0], requires_grad=True)

@@ -7,7 +7,7 @@ from conftest import max_rel_grad_err
 from wbanet import tensor as T
 from wbanet.errors import ConfigError, ShapeError
 from wbanet.tensor import Tensor
-from wbanet.wavelet import idwt2_numpy
+from wbanet.wavelet import dwt2_numpy, idwt2_numpy
 from wbanet.wsm import init_wsm_params, wave_attention, wavelet_downsample
 
 
@@ -84,6 +84,44 @@ def test_batched_leading_dims():
     for i in range(3):
         single = wave_attention(Tensor(xb[i]), p)
         assert np.allclose(out_b.data[i], single.data, atol=1e-12)
+
+
+def reference_attention(x, p):
+    """Plain-NumPy, query-major softmax(Q K^T / sqrt(d)) V per head,
+    concatenated with the IDWT path and projected by w_o; also returns the
+    (..., HW, HW/4) attention maps."""
+    *lead, h, w, c = x.shape
+    n, dh = h * w, c // p.n_heads
+    x_hat = dwt2_numpy(x @ p.w_d.data)
+    q = x.reshape(*lead, n, c) @ p.w_q.data
+    kv = x_hat.reshape(*lead, n // 4, c) @ p.kv_conv.data
+    k, v = kv[..., :c], kv[..., c:]
+    heads, maps = [], []
+    for i in range(p.n_heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(dh)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        maps.append(e / e.sum(axis=-1, keepdims=True))
+        heads.append(maps[-1] @ v[..., cols])
+    x_r = idwt2_numpy(x_hat).reshape(*lead, n, c // 4)
+    fused = np.concatenate(heads + [x_r], axis=-1)
+    return (fused @ p.w_o.data).reshape(x.shape), maps
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8, 16), (2, 16, 16, 16)],
+                         ids=["3x8x8x16", "2x16x16x16"])
+def test_matches_query_major_reference(shape):
+    # the key-major layout reorders rounding only
+    rng = np.random.default_rng(10)
+    p = init_wsm_params(shape[-1], 4, rng)
+    p = dataclasses.replace(p, w_q=Tensor(rng.normal(size=p.w_q.shape)))
+    x = rng.normal(size=shape)
+    out, maps = wave_attention(Tensor(x), p, return_attn=True)
+    ref, ref_maps = reference_attention(x, p)
+    assert np.abs(out.data - ref).max() <= 1e-12 * np.abs(ref).max()
+    for a, r in zip(maps, ref_maps, strict=True):
+        assert a.shape == r.shape and a.flags.c_contiguous
+        assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max()
 
 
 def test_end_to_end_gradients():
