@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evalio, preclass, tensor as T
+from . import evalio, model, preclass, tensor as T
 from .errors import ConfigError, FormatError, InputError, SamplingError
 from .model import ChangeMap, ModelConfig, predict_map, save_checkpoint, train
 from .preclass import Label
@@ -119,13 +119,13 @@ def _threshold_fallback(di: np.ndarray, labels) -> ChangeMap:
     """N=0 path: intermediate pixels resolved by thresholding the difference
     image at the midpoint of the confident class means."""
     values = (labels.labels == int(Label.CHANGED)).astype(np.uint8)
-    provenance = np.zeros(values.shape, dtype=np.int8)
+    provenance = np.full(values.shape, model.PROVENANCE_PSEUDO, dtype=np.int8)
     inter = labels.mask(Label.INTERMEDIATE)
     if inter.any():
         thr = 0.5 * (di[labels.mask(Label.CHANGED)].mean()
                      + di[labels.mask(Label.UNCHANGED)].mean())
         values[inter] = (di[inter] > thr).astype(np.uint8)
-        provenance[inter] = 1
+        provenance[inter] = model.PROVENANCE_NETWORK
     return ChangeMap(values, provenance)
 
 
@@ -179,15 +179,14 @@ def cmd_sweep_blocks(args) -> int:
             change = predict_map(i1, i2, labels, params, cfg)
         report = evalio.evaluate(change.values, gt)
         seconds = time.perf_counter() - t0
-        rows.append((n, report.pcc, report.kc, seconds))
+        rows.append([n, f"{report.pcc:.6f}", f"{report.kc:.6f}", f"{seconds:.3f}"])
         print(f"N={n}: PCC={report.pcc:.2f}% KC={report.kc:.2f}% "
               f"({seconds:.1f}s)")
 
     with open(out / "pcc_vs_n.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "pcc", "kc", "seconds"])
-        for n, pcc, kc, seconds in rows:
-            writer.writerow([n, f"{pcc:.6f}", f"{kc:.6f}", f"{seconds:.3f}"])
+        writer.writerows(rows)
     _write_json(out / "sweep_config.json",
                 {**opts, "blocks_from": args.blocks_from,
                  "blocks_to": args.blocks_to})
@@ -198,65 +197,39 @@ def cmd_sweep_blocks(args) -> int:
 # ---------------------------------------------------------------------------
 # selftest
 
-def run_selftest(dwt2=dwt2_numpy) -> list[tuple[str, bool, str]]:
-    """Invariant suites; the forward transform is injectable so a broken
-    wavelet is detectable by construction."""
-    results = []
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of three invariant suites: the wavelet round trip,
+    the gradient oracle over every op of criterion 2's mini network, a hand kappa."""
     rng = np.random.default_rng(1234)
-
-    ok, detail = True, ""
+    worst = 0.0
     for _ in range(50):
-        h = 2 * int(rng.integers(1, 17))
-        w = 2 * int(rng.integers(1, 17))
-        c = int(rng.integers(1, 9))
-        x = rng.normal(size=(h, w, c))
-        s = dwt2(x)
-        err = np.abs(idwt2_numpy(s) - x).max()
-        e_err = abs(energy(s) - energy(x))
-        if err > 1e-9 or e_err > 1e-9:
-            ok, detail = False, f"recon err {err:.2e}, energy err {e_err:.2e}"
-            break
-    results.append(("wavelet reconstruction + energy", ok, detail))
+        h, w = 2 * rng.integers(1, 17, size=2)
+        x = rng.normal(size=(h, w, rng.integers(1, 9)))
+        s = dwt2_numpy(x)
+        worst = max(worst, np.abs(idwt2_numpy(s) - x).max(), abs(energy(s) - energy(x)))
+    results = [("wavelet reconstruction + energy", bool(worst <= 1e-9),
+                f"worst err {worst:.2e}")]
 
-    ok, detail = True, ""
-    for _ in range(10):
-        a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        loss = T.tsum(T.sigmoid(T.matmul(a, b)))
-        loss.backward()
-        eps = 1e-6
-        i, j = int(rng.integers(3)), int(rng.integers(4))
-        orig = a.data[i, j]
-        a.data[i, j] = orig + eps
-        f1 = T.tsum(T.sigmoid(T.matmul(T.Tensor(a.data), T.Tensor(b.data)))).item()
-        a.data[i, j] = orig - eps
-        f0 = T.tsum(T.sigmoid(T.matmul(T.Tensor(a.data), T.Tensor(b.data)))).item()
-        a.data[i, j] = orig
-        fd = (f1 - f0) / (2 * eps)
-        rel = abs(a.grad[i, j] - fd) / max(abs(fd), 1e-8)
-        if rel > 1e-4:
-            ok, detail = False, f"grad rel err {rel:.2e}"
-            break
-    results.append(("gradient finite differences", ok, detail))
+    params = model.init_params(ModelConfig(patch_size=4, embed_dim=8, n_heads=2,
+                                           n_blocks=1), rng)
+    x = rng.normal(size=(2, 4, 4, 2))
+    err = T.max_rel_grad_err(
+        lambda: model.cross_entropy(model.forward(x, params), np.array([0, 1])),
+        params.tensors(), rng, n_coords=1)
+    results.append(("gradient finite differences, miniature network",
+                    bool(err < 1e-3), f"max rel err {err:.2e}"))
 
-    ok, detail = True, ""
     rep = evalio.metrics(40, 40, 10, 10)
-    if rep.oe != 20 or abs(rep.pcc - 80.0) > 1e-9 or abs(rep.kc - 60.0) > 1e-9:
-        ok, detail = False, f"got oe={rep.oe} pcc={rep.pcc} kc={rep.kc}"
-    rep2 = evalio.metrics(10, 80, 1092, 1373)
-    if rep2.oe != 1092 + 1373:
-        ok, detail = False, f"OE identity failed: {rep2.oe}"
-    results.append(("metric identities", ok, detail))
+    ok = rep.oe == 20 and abs(rep.pcc - 80.0) <= 1e-9 and abs(rep.kc - 60.0) <= 1e-9
+    results.append(("metric identities", ok, f"oe={rep.oe} pcc={rep.pcc} kc={rep.kc}"))
     return results
 
 
 def cmd_selftest(args) -> int:
     results = run_selftest()
-    failed = False
     for name, ok, detail in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-        failed |= not ok
-    return 1 if failed else EXIT_OK
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name_offset, name = pos, take(name_len)
+        try:
+            name = name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not UTF-8", offset=name_offset) from None
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n_vals = int(np.prod(shape)) if rank else 1

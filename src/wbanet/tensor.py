@@ -413,3 +413,30 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# gradient oracle
+
+def max_rel_grad_err(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
+                     rng: np.random.Generator, n_coords=5, h=1e-5) -> float:
+    """Worst relative gap (NaN if either side is) between the tape's gradient of
+    ``loss_fn()`` and (f(x+h) - f(x-h)) / 2h at ``n_coords`` random entries of
+    each contiguous param, skipping entries where both are below 1e-7."""
+    for p in params:
+        p.grad = None
+    loss_fn().backward()
+    worst = 0.0
+    for p in params:
+        flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
+        for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            f1 = loss_fn().item()
+            flat[idx] = orig - h
+            fd = (f1 - loss_fn().item()) / (2 * h)
+            flat[idx] = orig
+            scale = np.maximum(abs(fd), abs(gflat[idx]))
+            if not scale < 1e-7:
+                worst = np.maximum(worst, abs(gflat[idx] - fd) / scale)
+    return worst

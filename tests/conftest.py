@@ -1,38 +1,1 @@
-import numpy as np
-
-from wbanet.tensor import Tensor
-
-
-def fd_grad(fwd, array: np.ndarray, idx, h: float = 1e-5) -> float:
-    """Central finite difference of a scalar-returning ``fwd`` at one entry."""
-    flat = array.reshape(-1)
-    orig = flat[idx]
-    flat[idx] = orig + h
-    f1 = fwd()
-    flat[idx] = orig - h
-    f0 = fwd()
-    flat[idx] = orig
-    return (f1 - f0) / (2 * h)
-
-
-def max_rel_grad_err(loss_fn, params: list[Tensor], rng, n_coords: int = 5,
-                     h: float = 1e-5) -> float:
-    """Compare autodiff gradients of ``loss_fn(params)`` against central
-    finite differences on randomly chosen coordinates of each parameter."""
-    for p in params:
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        coords = rng.choice(flat.size, size=min(n_coords, flat.size),
-                            replace=False)
-        for idx in coords:
-            fd = fd_grad(lambda: loss_fn().item(), p.data, idx, h)
-            scale = max(abs(fd), abs(gflat[idx]))
-            if scale < 1e-7:
-                continue
-            worst = max(worst, abs(gflat[idx] - fd) / scale)
-    return worst
+from wbanet.tensor import max_rel_grad_err  # noqa: F401 (test_acceptance imports it)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import max_rel_grad_err
 from wbanet import tensor as T
 from wbanet.bam import (bam_forward, channel_aggregate, init_bam_params,
                         spatial_aggregate)
 from wbanet.errors import ShapeError
-from wbanet.tensor import Tensor
+from wbanet.tensor import Tensor, max_rel_grad_err
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import typing
 import numpy as np
 import pytest
 
-from wbanet import evalio
+from wbanet import cli, evalio, tensor as T
 from wbanet.cli import _MODEL_FIELDS, build_parser, main, run_selftest
 from wbanet.model import ModelConfig
 from wbanet.wavelet import dwt2_numpy
@@ -370,16 +370,35 @@ class TestSelftest:
         results = run_selftest()
         assert all(ok for _, ok, _ in results)
 
-    def test_injected_wavelet_sign_bug_detected(self):
+    def test_injected_wavelet_sign_bug_detected(self, monkeypatch):
         def buggy_dwt(a):
             s = dwt2_numpy(a)
             c = s.shape[-1] // 4
             s[..., c:2 * c] *= -1.0  # flipped LH sign
             return s
 
-        results = run_selftest(dwt2=buggy_dwt)
+        monkeypatch.setattr(cli, "dwt2_numpy", buggy_dwt)
+        results = run_selftest()
         recon = [ok for name, ok, _ in results if "reconstruction" in name]
         assert recon == [False]
+
+    def test_injected_gelu_backward_bug_detected(self, monkeypatch, capsys):
+        # GELU is reached only through the BAM gates, so this fails unless
+        # the gradient suite covers the whole network
+        gelu = T.gelu
+
+        def gelu_grad_doubled(a):
+            out = gelu(a)
+            fn = out._backward_fn
+            if fn is not None:
+                out._backward_fn = lambda g: tuple(2.0 * pg for pg in fn(g))
+            return out
+
+        monkeypatch.setattr(T, "gelu", gelu_grad_doubled)
+        grad = [ok for name, ok, _ in run_selftest() if "gradient" in name]
+        assert grad == [False]
+        assert main(["selftest"]) == 1
+        assert "[FAIL] gradient" in capsys.readouterr().out
 
     def test_cli_exit_code(self):
         assert main(["selftest"]) == 0

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import fd_grad, max_rel_grad_err
 from wbanet import tensor as T
 from wbanet.errors import GradError, ShapeError
-from wbanet.tensor import Adam, Tensor
+from wbanet.tensor import Adam, Tensor, max_rel_grad_err
 
 
 class TestCreation:
@@ -394,3 +393,26 @@ def test_forward_ops_finite_on_finite_inputs():
     for out in (T.sigmoid(x), T.gelu(x), T.softmax_rows(x),
                 T.global_avg_pool(x), T.mul(x, x)):
         assert np.all(np.isfinite(out.data))
+
+
+class TestGradOracle:
+    @staticmethod
+    def identity(backward):
+        """An identity op on the tape with the given backward."""
+        return lambda x: T._node(x.data.copy(), (x,), backward)
+
+    def test_wrong_backward_reported_and_data_restored(self):
+        a = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
+        before = a.data.copy()
+        doubled = self.identity(lambda g: (2.0 * g,))
+        err = max_rel_grad_err(lambda: T.tsum(doubled(a)), [a],
+                               np.random.default_rng(1))
+        assert abs(err - 0.5) < 1e-6  # |2 - 1| / 2
+        assert np.array_equal(a.data, before)
+
+    def test_nan_gradient_fails_every_bound(self):
+        a = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
+        broken = self.identity(lambda g: (np.full_like(g, np.nan),))
+        err = max_rel_grad_err(lambda: T.tsum(broken(a)), [a],
+                               np.random.default_rng(1))
+        assert not err < 1e3

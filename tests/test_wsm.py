@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import max_rel_grad_err
 from wbanet import tensor as T
 from wbanet.errors import ConfigError, ShapeError
-from wbanet.tensor import Tensor
+from wbanet.tensor import Tensor, max_rel_grad_err
 from wbanet.wavelet import dwt2_numpy, idwt2_numpy
 from wbanet.wsm import init_wsm_params, wave_attention, wavelet_downsample
 
