@@ -179,14 +179,15 @@ def cmd_sweep_blocks(args) -> int:
             change = predict_map(i1, i2, labels, params, cfg)
         report = evalio.evaluate(change.values, gt)
         seconds = time.perf_counter() - t0
-        rows.append([n, f"{report.pcc:.6f}", f"{report.kc:.6f}", f"{seconds:.3f}"])
+        rows.append((n, report.pcc, report.kc, seconds))
         print(f"N={n}: PCC={report.pcc:.2f}% KC={report.kc:.2f}% "
               f"({seconds:.1f}s)")
 
     with open(out / "pcc_vs_n.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "pcc", "kc", "seconds"])
-        writer.writerows(rows)
+        for n, pcc, kc, seconds in rows:
+            writer.writerow([n, f"{pcc:.6f}", f"{kc:.6f}", f"{seconds:.3f}"])
     _write_json(out / "sweep_config.json",
                 {**opts, "blocks_from": args.blocks_from,
                  "blocks_to": args.blocks_to})
@@ -203,10 +204,14 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(50):
-        h, w = 2 * rng.integers(1, 17, size=2)
-        x = rng.normal(size=(h, w, rng.integers(1, 9)))
+        h = 2 * int(rng.integers(1, 17))
+        w = 2 * int(rng.integers(1, 17))
+        c = int(rng.integers(1, 9))
+        x = rng.normal(size=(h, w, c))
         s = dwt2_numpy(x)
-        worst = max(worst, np.abs(idwt2_numpy(s) - x).max(), abs(energy(s) - energy(x)))
+        # np.max, unlike max, carries a NaN through to the check
+        worst = np.max([worst, np.abs(idwt2_numpy(s) - x).max(),
+                        abs(energy(s) - energy(x))])
     results = [("wavelet reconstruction + energy", bool(worst <= 1e-9),
                 f"worst err {worst:.2e}")]
 

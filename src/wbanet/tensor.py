@@ -419,10 +419,11 @@ class Adam:
 # gradient oracle
 
 def max_rel_grad_err(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                     rng: np.random.Generator, n_coords=5, h=1e-5) -> float:
+                     rng: np.random.Generator, n_coords=5) -> float:
     """Worst relative gap (NaN if either side is) between the tape's gradient of
     ``loss_fn()`` and (f(x+h) - f(x-h)) / 2h at ``n_coords`` random entries of
     each contiguous param, skipping entries where both are below 1e-7."""
+    h = 1e-5
     for p in params:
         p.grad = None
     loss_fn().backward()

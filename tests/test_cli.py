@@ -382,6 +382,13 @@ class TestSelftest:
         recon = [ok for name, ok, _ in results if "reconstruction" in name]
         assert recon == [False]
 
+    def test_nan_wavelet_output_detected(self, monkeypatch):
+        # Python's max skips a NaN, so this passed while the suite used it
+        monkeypatch.setattr(cli, "dwt2_numpy",
+                            lambda a: np.full_like(dwt2_numpy(a), np.nan))
+        recon = [ok for name, ok, _ in run_selftest() if "reconstruction" in name]
+        assert recon == [False]
+
     def test_injected_gelu_backward_bug_detected(self, monkeypatch, capsys):
         # GELU is reached only through the BAM gates, so this fails unless
         # the gradient suite covers the whole network
