@@ -345,13 +345,31 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def softmax_rows(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` (the last by default), max-subtracted for
-    stability. Reducing a non-innermost axis lets NumPy vectorise the max and
-    the sum across the contiguous axis; a short innermost axis is its slowest
-    reduction shape."""
-    x = a.data
-    out = x - x.max(axis=axis, keepdims=True)  # the one fresh full-size buffer
+# ln 2^-64: the floor on softmax_rows' max-subtracted exponents
+_SOFTMAX_FLOOR = -64 * math.log(2.0)
+
+
+def softmax_rows(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
+    """Softmax of ``scale * a`` along ``axis`` (the last by default),
+    max-subtracted for stability. Reducing a non-innermost axis lets NumPy
+    vectorise the max and the sum across the contiguous axis; a short
+    innermost axis is its slowest reduction shape.
+
+    Floor contract: each max-subtracted exponent is raised to at least
+    ``_SOFTMAX_FLOOR`` = ln 2^-64 before ``exp``. Below about -708 NumPy's
+    ``exp`` leaves its vector path, and the subnormal weights it returns slow
+    every matmul they reach, forward and backward. A row's largest
+    exponential is exactly 1, so with n entries the floor adds at most
+    n * 2^-64 to the row sum: 2^-58 for the n <= 64 keys of the WSM, below
+    half an ulp of a sum >= 1. Each weight moves by at most exp(floor), which
+    rounds to 2^-64 * (1 + 1.6e-15), and is at least 2^-64 / n, so a product
+    g * w in the backward is subnormal only if |g| < n * 2^-958. Where
+    nothing reaches the floor the result is bitwise that of
+    ``softmax_rows(scale(a, s))``."""
+    s = float(scale)
+    out = a.data * s  # the one fresh full-size buffer
+    out -= out.max(axis=axis, keepdims=True)
+    np.maximum(out, _SOFTMAX_FLOOR, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 
@@ -359,6 +377,8 @@ def softmax_rows(a: Tensor, axis: int = -1) -> Tensor:
         dot = (g * out).sum(axis=axis, keepdims=True)
         grad = g - dot
         grad *= out
+        if s != 1.0:
+            grad *= s
         return (grad,)
 
     return _node(out, (a,), backward)

@@ -87,8 +87,8 @@ def wave_attention(x: Tensor, p: WsmParams, return_attn: bool = False):
         qi = T.narrow(q, -1, i * dh, dh)
         ki = T.narrow(k, -1, i * dh, dh)
         vi = T.narrow(v, -1, i * dh, dh)
-        scores = T.scale(T.matmul(ki, T.transpose_last2(qi)), 1.0 / math.sqrt(dh))
-        attn = T.softmax_rows(scores, axis=-2)              # (..., HW/4, HW)
+        attn = T.softmax_rows(T.matmul(ki, T.transpose_last2(qi)), axis=-2,
+                              scale=1.0 / math.sqrt(dh))    # (..., HW/4, HW)
         if return_attn:
             attn_maps.append(np.swapaxes(attn.data, -1, -2).copy())
         heads.append(T.transpose_last2(T.matmul(T.transpose_last2(vi), attn)))

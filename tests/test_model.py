@@ -150,17 +150,21 @@ class TestTraining:
             assert np.array_equal(t1.data, t2.data), n1
 
 
-def softmax_rows_flipped(a, axis=-1):
+def softmax_rows_flipped(a, axis=-1, scale=1.0):
     """``T.softmax_rows`` with its max and sums taken over the reversed axis:
-    the same function, rounded in another order."""
-    x = a.data
-    out = x - np.flip(x, axis).max(axis=axis, keepdims=True)
+    the same function, with the same scale and floor, rounded in another
+    order."""
+    s = float(scale)
+    out = a.data * s
+    out -= np.flip(out, axis).max(axis=axis, keepdims=True)
+    np.maximum(out, T._SOFTMAX_FLOOR, out=out)
     np.exp(out, out=out)
     out /= np.flip(out, axis).sum(axis=axis, keepdims=True)
 
     def backward(g):
         grad = g - np.flip(g * out, axis).sum(axis=axis, keepdims=True)
         grad *= out
+        grad *= s
         return (grad,)
 
     return T._node(out, (a,), backward)

@@ -219,6 +219,48 @@ class TestSoftmax:
         dot = (g0 * out.data).sum(axis=axis, keepdims=True)
         assert np.array_equal(gx, out.data * (g0 - dot))
 
+    def test_floor_leaves_no_subnormal(self):
+        # scores x1000 put most max-subtracted exponents far below exp's
+        # underflow limit (~-708); the floor keeps every weight, and every
+        # product the backward forms, out of the subnormal range
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(64, 16, 64)) * 1000
+        out = T.softmax_rows(Tensor(x, requires_grad=True), axis=-2)
+        (gx,) = out._backward_fn(rng.normal(size=x.shape))
+        tiny = np.finfo(float).tiny
+        for v in (out.data, gx):
+            assert np.all((v == 0) | (np.abs(v) >= tiny))
+        assert np.abs(out.data.sum(axis=-2) - 1.0).max() <= 1e-15
+        with np.errstate(under="ignore"):
+            e = np.exp(x - x.max(axis=-2, keepdims=True))
+        ref = e / e.sum(axis=-2, keepdims=True)
+        # exp(ln 2^-64) rounds to 2^-64 * (1 + 1.6e-15), a few ulps above it
+        assert np.abs(out.data - ref).max() <= np.exp(T._SOFTMAX_FLOOR)
+
+    def test_scale_matches_scale_node(self):
+        # on N(0,1) scores nothing reaches the floor, so folding the scale in
+        # is bitwise the scale op followed by the softmax, both ways
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 16, 64))
+        g = rng.normal(size=x.shape)
+        s = 1.0 / math.sqrt(8)
+        a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        fused = T.softmax_rows(a, axis=-2, scale=s)
+        split = T.softmax_rows(T.scale(b, s), axis=-2)
+        assert np.array_equal(fused.data, split.data)
+        T.tsum(T.mul(fused, Tensor(g))).backward()
+        T.tsum(T.mul(split, Tensor(g))).backward()
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_grad_scaled_key_axis(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4, 6)))
+        err = max_rel_grad_err(
+            lambda: T.tsum(T.mul(T.softmax_rows(x, axis=-2, scale=-2.5), w)),
+            [x], rng)
+        assert err < 1e-5
+
 
 class TestPoolConcat:
     def test_gap_constant(self):
