@@ -349,6 +349,13 @@ def gelu(a: Tensor) -> Tensor:
 _SOFTMAX_FLOOR = -64 * math.log(2.0)
 
 
+def _dot_along(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """``(x * w).sum(axis, keepdims=True)`` without a full-size temporary."""
+    idx = list(range(x.ndim))
+    kept = [i for i in idx if i != axis % x.ndim]
+    return np.expand_dims(np.einsum(x, idx, w, idx, kept), axis)
+
+
 def softmax_rows(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     """Softmax of ``scale * a`` along ``axis`` (the last by default),
     max-subtracted for stability. Reducing a non-innermost axis lets NumPy
@@ -363,9 +370,18 @@ def softmax_rows(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     n * 2^-64 to the row sum: 2^-58 for the n <= 64 keys of the WSM, below
     half an ulp of a sum >= 1. Each weight moves by at most exp(floor), which
     rounds to 2^-64 * (1 + 1.6e-15), and is at least 2^-64 / n, so a product
-    g * w in the backward is subnormal only if |g| < n * 2^-958. Where
+    w * d in the backward is subnormal only if |d| < n * 2^-958. Where
     nothing reaches the floor the result is bitwise that of
-    ``softmax_rows(scale(a, s))``."""
+    ``softmax_rows(scale(a, s))``.
+
+    Backward: where one weight is near 1, as most are in training, the exact
+    ``g - <g, w>`` at that entry is the sum of ``w_j * (g_top - g_j)`` over
+    the other entries, which can lie below an ulp of ``g``. The naive
+    ``w * (g - <g, w>)`` then returns rounding whose sign and size move with
+    the order of the sum. The backward takes one refinement step instead,
+    ``r = g - <g, w>`` then ``d = r - <r, w>`` and ``w * d``: with weights
+    summing to 1 this is the same gradient (the softmax Jacobian maps a
+    constant shift of ``g`` to zero), and the small difference survives."""
     s = float(scale)
     out = a.data * s  # the one fresh full-size buffer
     out -= out.max(axis=axis, keepdims=True)
@@ -374,8 +390,8 @@ def softmax_rows(a: Tensor, axis: int = -1, scale: float = 1.0) -> Tensor:
     out /= out.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        grad = g - dot
+        grad = g - _dot_along(g, out, axis)
+        grad -= _dot_along(grad, out, axis)
         grad *= out
         if s != 1.0:
             grad *= s

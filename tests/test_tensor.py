@@ -216,8 +216,14 @@ class TestSoftmax:
         g0 = g.copy()
         (gx,) = out._backward_fn(g)
         assert np.array_equal(g, g0)
-        dot = (g0 * out.data).sum(axis=axis, keepdims=True)
-        assert np.array_equal(gx, out.data * (g0 - dot))
+        idx = list(range(g0.ndim))
+        kept = [i for i in idx if i != axis % g0.ndim]
+
+        def dot(v):
+            return np.expand_dims(np.einsum(v, idx, out.data, idx, kept), axis)
+
+        r = g0 - dot(g0)
+        assert np.array_equal(gx, out.data * (r - dot(r)))
 
     def test_floor_leaves_no_subnormal(self):
         # scores x1000 put most max-subtracted exponents far below exp's
@@ -236,6 +242,22 @@ class TestSoftmax:
         ref = e / e.sum(axis=-2, keepdims=True)
         # exp(ln 2^-64) rounds to 2^-64 * (1 + 1.6e-15), a few ulps above it
         assert np.abs(out.data - ref).max() <= np.exp(T._SOFTMAX_FLOOR)
+
+    def test_backward_keeps_saturated_gradients(self):
+        # scores x30 leave one weight near 1 in most columns, where the
+        # naive w * (g - <g, w>) is rounding (30x off here); the refined
+        # backward must match the same gradient taken relative to the
+        # dominant entry's g, which has nothing to cancel
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(64, 16, 64)) * 30
+        g = rng.normal(size=x.shape)
+        out = T.softmax_rows(Tensor(x, requires_grad=True), axis=-2)
+        (gx,) = out._backward_fn(g)
+        w = out.data
+        top = np.take_along_axis(g, w.argmax(axis=-2)[:, None, :], axis=-2)
+        d = g - top
+        ref = w * (d - (w * d).sum(axis=-2, keepdims=True))
+        assert np.all(np.abs(gx - ref) <= 1e-10 * np.abs(ref))
 
     def test_scale_matches_scale_node(self):
         # on N(0,1) scores nothing reaches the floor, so folding the scale in
